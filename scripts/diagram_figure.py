@@ -39,7 +39,7 @@ def main():
           f"{divergent} divergent)")
 
     for b in WAYPOINTS:
-        row = bifurcation_diagram((b, b), 2, p0=X0,
+        row = bifurcation_diagram((b, b), 1, p0=X0,
                                   transient=args.transient,
                                   samples=args.samples).rows[0]
         n = ("diverged" if row.samples is None

@@ -12,11 +12,11 @@ from .errors import (BranchLost, CountMismatch, Diverged,
                      LiftValidationFailed, NoEventInBracket,
                      NoRealFixedPoints, Overflow, PaletteMissingLabel,
                      PeriodDivisibleBy3, ToolkitError)
-from .cycles import (Cycle1D, Cycle3D, ConjugateTriple, Provenance, census,
-                     classify_stability, conjugate_of, cycle1d_label,
-                     find_cycles_1d, fixed_point_cycles_1d, fixed_points_T,
-                     lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
-                     lift_mixed_triple, stability_block_length)
+from .cycles import (Cycle1D, Cycle3D, Provenance, census,
+                     classify_stability, cycle1d_label, find_cycles_1d,
+                     fixed_point_cycles_1d, fixed_points_T, lift_homogeneous,
+                     lift_homogeneous_3n, lift_mixed_pair, lift_mixed_triple,
+                     stability_block_length)
 from .bifurcations import (BifurcationEvent, Branch, DiagramDataset,
                            DiagramRow, bifurcation_diagram,
                            distinct_sample_count, event_residuals, find_flip,

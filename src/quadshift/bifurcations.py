@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ESCAPE_RADIUS, Params, Point3, h1d_n, orbit
-from .cycles import _sorted_multiplier, find_cycles_1d
-from .errors import BranchLost, Diverged, NoEventInBracket
+import numpy as np
+
+from .core import ESCAPE_RADIUS, Params, Point3, h1d_n
+from .cycles import _newton_1d, _orbit_1d, _sorted_multiplier, find_cycles_1d
+from .errors import BranchLost, NoEventInBracket, Overflow
 
 COUNT_BISECT_WIDTH = 1e-4   # switch from count bisection to polishing here
 EVENT_B_WIDTH = 1e-12       # final parameter bracket width
@@ -54,23 +56,6 @@ class DiagramDataset:
 # branch continuation machinery
 
 
-def _newton_cycle(x, b, n, iters=60):
-    for _ in range(iters):
-        v = x
-        d = 1.0
-        for _ in range(n):
-            d = 2.0 * v * d
-            v = v * v + b
-        fv = v - x
-        dfv = d - 1.0
-        if dfv == 0.0:
-            break
-        x -= fv / dfv
-        if abs(fv) < 5e-14:
-            break
-    return x
-
-
 def _is_minimal(x, b, n, tol=1e-8):
     p = Params(b)
     if abs(h1d_n(x, p, n) - x) > 1e-9:
@@ -81,22 +66,15 @@ def _is_minimal(x, b, n, tol=1e-8):
     return True
 
 
-def _orbit_points(x, b, n):
-    pts = [x]
-    for _ in range(n - 1):
-        pts.append(pts[-1] * pts[-1] + b)
-    return pts
-
-
 def _multiplier_at(x, b, n):
-    return _sorted_multiplier(_orbit_points(x, b, n))
+    return _sorted_multiplier(_orbit_1d(x, b, n))
 
 
 def _continue_to(x, b_from, b_to, n, substeps=64):
     """Walk a cycle point from one parameter to another in small steps."""
     for k in range(1, substeps + 1):
         bb = b_from + (b_to - b_from) * k / substeps
-        xn = _newton_cycle(x, bb, n)
+        xn = _newton_1d(x, Params(bb), n)
         if not _is_minimal(xn, bb, n) or abs(xn - x) > JUMP_GUARD:
             raise BranchLost(
                 f"period-{n} branch lost near b={bb} (x {x:.6g} -> {xn:.6g})")
@@ -166,8 +144,8 @@ def _flip_core(n, b_bracket, interval=(-2.5, 2.5)):
         else:
             b_hi = bm
     b_star = 0.5 * (b_lo + b_hi)
-    x_star = _newton_cycle(x_ref, b_star, n)
-    return b_star, _orbit_points(x_star, b_star, n)
+    x_star = _newton_1d(x_ref, Params(b_star), n)
+    return b_star, _orbit_1d(x_star, b_star, n)
 
 
 def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
@@ -254,7 +232,7 @@ def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
               and _is_minimal(x_star, b_star, n)
               and abs(_multiplier_at(x_star, b_star, n) - 1.0) <= 1e-7)
         if ok:
-            pts = _orbit_points(x_star, b_star, n)
+            pts = _orbit_1d(x_star, b_star, n)
             return BifurcationEvent(kind="fold", period=n, b_star=b_star,
                                     x_star=min(pts))
         if n % 2 != 0:
@@ -358,21 +336,42 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
                         transient=1000, samples=200,
                         escape_radius=ESCAPE_RADIUS) -> DiagramDataset:
     """Post-transient x-samples of one orbit per parameter; divergent
-    parameters carry samples=None instead of killing the sweep."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    parameters carry samples=None instead of killing the sweep.
+
+    All parameters are iterated at once, as arrays of the three
+    coordinates.  A parameter's row drops out as soon as its state leaves
+    the escape ball, the test `orbit` applies, so every row holds exactly
+    the x-samples `orbit(p0, Params(b), samples, transient)` records.
+    One step (steps=1) samples a single parameter, b_lo == b_hi.
+    """
+    b_lo, b_hi = b_range
+    if steps < 1 or (steps == 1 and b_lo != b_hi):
+        raise ValueError("steps must be >= 2, or 1 with b_lo == b_hi")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    b_lo, b_hi = b_range
-    rows = []
-    for k in range(steps):
-        b = b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
-        try:
-            pts = orbit(p0, Params(b), samples, transient, escape_radius)
-            rows.append(DiagramRow(b=b, samples=tuple(p.x for p in pts)))
-        except Diverged:
-            rows.append(DiagramRow(b=b, samples=None))
-    return DiagramDataset(rows=tuple(rows), p0=p0, transient=transient)
+    bs = [b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
+          for k in range(steps)]
+    b = np.array(bs)
+    x = np.full(steps, p0.x)
+    y = np.full(steps, p0.y)
+    z = np.full(steps, p0.z)
+    R = escape_radius
+    bounded = np.ones(steps, dtype=bool)
+    xs = np.empty((steps, samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(transient + samples):
+            bounded &= ~((np.abs(x) > R) | (np.abs(y) > R) | (np.abs(z) > R))
+            if k >= transient:
+                xs[:, k - transient] = x
+            kick = x * x + b
+            bad = bounded & ~np.isfinite(kick)
+            if bad.any():
+                raise Overflow(
+                    f"quadratic kick overflowed at x={float(x[bad][0])!r}")
+            x, y, z = y, z, kick
+    rows = tuple(DiagramRow(b=bv, samples=tuple(row.tolist()) if ok else None)
+                 for bv, ok, row in zip(bs, bounded.tolist(), xs))
+    return DiagramDataset(rows=rows, p0=p0, transient=transient)
 
 
 def distinct_sample_count(values, tol=1e-6) -> int:

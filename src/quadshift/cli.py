@@ -233,12 +233,10 @@ def _cmd_diagram(args):
 
 def _cmd_lyapunov(args):
     cfg = {"subcommand": "lyapunov", "b": args.b, "x0": list(args.x0),
-           "iters": args.iters, "transient": args.transient,
-           "renorm_every": args.renorm_every}
+           "iters": args.iters, "transient": args.transient}
     _echo(cfg)
     res = lyapunov_spectrum(Point3(*args.x0), Params(args.b),
-                            n_iter=args.iters, transient=args.transient,
-                            renorm_every=args.renorm_every)
+                            n_iter=args.iters, transient=args.transient)
     _deliver(serialize.lyapunov_csv([res]), args.out)
     return 0
 
@@ -422,7 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--x0", type=_triple, default=(0.1, -0.55, 0.3))
     p.add_argument("--iters", type=int, default=1_000_000)
     p.add_argument("--transient", type=int, default=10_000)
-    p.add_argument("--renorm-every", type=int, default=1)
     p.add_argument("--out")
 
     p = cmd("critical-planes", _cmd_critical_planes,

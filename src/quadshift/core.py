@@ -73,28 +73,18 @@ def apply_T(p: Point3, params: Params) -> Point3:
     return Point3(p.y, p.z, z)
 
 
-def apply_T_n(p: Point3, params: Params, n: int, fast: bool = False) -> Point3:
-    """n-fold composition of apply_T.
-
-    fast=True takes the decoupled shortcut: floor(n/3) scalar iterations per
-    coordinate, then 0-2 single steps.  Plain composition is the default;
-    the shortcut is cross-checked against it in the tests.
-    """
+def apply_T_n(p: Point3, params: Params, n: int) -> Point3:
+    """n-fold composition of apply_T."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if fast:
-        k, r = divmod(n, 3)
-        p = Point3(h1d_n(p.x, params, k), h1d_n(p.y, params, k), h1d_n(p.z, params, k))
-        for _ in range(r):
-            p = apply_T(p, params)
-        return p
     for _ in range(n):
         p = apply_T(p, params)
     return p
 
 
 def jacobian_T(p: Point3) -> Mat3:
-    """One-step Jacobian: constant rows except the 2x entry.  det = 2x."""
+    """One-step Jacobian: constant rows except the 2x entry.  det = 2x.
+    The tests check the closed-form products against it."""
     return np.array([
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],

@@ -1,4 +1,4 @@
-"""Periodic orbits: scalar cycles, their conjugates, and loom lifts to 3D.
+"""Periodic orbits: scalar cycles and loom lifts to 3D.
 
 A cycle of the scalar map x -> x^2 + b can be placed into the 3D map in
 several ways: one orbit per scalar cycle when the period is not a multiple
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import gcd, lcm, sqrt
+from math import gcd, inf, lcm, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, apply_T, h1d, h1d_n, jacobian_T
+from .core import Params, Point3, apply_T, h1d_n, orbit
 from .errors import (CountMismatch, LiftValidationFailed, NoRealFixedPoints,
                      PeriodDivisibleBy3)
 
@@ -44,19 +44,6 @@ class Cycle1D:
 
 
 @dataclass(frozen=True)
-class ConjugateTriple:
-    """The three orbit-aligned scalar cycles sitting under one 3D cycle.
-
-    Y and Z are images of X under the scalar map, i.e. X's orbit rotated by
-    one position -- *not* re-sorted smallest-first.  The pointwise alignment
-    (y_i is the image of x_i) is what the lift seed rules index into.
-    """
-    X: Cycle1D
-    Y: Cycle1D
-    Z: Cycle1D
-
-
-@dataclass(frozen=True)
 class Provenance:
     kind: str                 # "homogeneous" | "homogeneous_3n" | "mixed_pair" | "mixed_triple"
     sources: tuple            # labels of the scalar cycles used
@@ -75,6 +62,21 @@ class Cycle3D:
 
 def cycle1d_label(c: Cycle1D) -> str:
     return f"n{c.period}@{min(c.points):.12g}"
+
+
+def _orbit_1d(x, b, n):
+    # n consecutive points of the scalar orbit of x
+    pts = [x]
+    for _ in range(n - 1):
+        pts.append(pts[-1] * pts[-1] + b)
+    return pts
+
+
+def _image_points(X: Cycle1D) -> tuple:
+    # the image of each point of X in orbit order: X rotated by one
+    # position, *not* re-sorted smallest-first; the lift seed rules index
+    # into this pointwise alignment
+    return X.points[1:] + X.points[:1]
 
 
 def _sorted_multiplier(points) -> float:
@@ -212,9 +214,7 @@ def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
     orbits = []
     keys = []
     for x in kept:
-        orb = [x]
-        for _ in range(n - 1):
-            orb.append(h1d(orb[-1], params))
+        orb = _orbit_1d(x, b, n)
         key = tuple(sorted(orb))
         if any(max(abs(a - c) for a, c in zip(key, k)) < 1e-9 for k in keys):
             continue
@@ -228,15 +228,6 @@ def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
             if max(abs(a - c) for a, c in zip(sorted(orbits[i]), sorted(orbits[j]))) < DEGENERATE_TOL:
                 degenerate[i] = degenerate[j] = True
     return [cycle1d_from_orbit(b, orb, deg) for orb, deg in zip(orbits, degenerate)]
-
-
-def conjugate_of(X: Cycle1D) -> ConjugateTriple:
-    """Orbit-aligned images of X: y_i = z_i = image of x_i (rotate by one)."""
-    n = X.period
-    shifted = tuple(X.points[(i + 1) % n] for i in range(n))
-    Y = cycle1d_from_orbit(X.b, shifted, X.degenerate)
-    Z = cycle1d_from_orbit(X.b, shifted, X.degenerate)
-    return ConjugateTriple(X=X, Y=Y, Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +244,16 @@ def classify_stability(points, b, tol: float = STABILITY_TOL):
 
     The Jacobian product is taken over the cycle's period when that is a
     multiple of 3 and over 3x the period otherwise -- the smallest block on
-    which the product is exactly diagonal, hence real eigenvalues.
+    which the product is exactly diagonal, hence real eigenvalues.  Its
+    diagonal entry r is the product of 2x over the steps k = r (mod 3),
+    accumulated in step order; `+ 0.0` turns a superstable -0.0 into 0.0.
     """
     pts = list(points)
-    L = stability_block_length(len(pts))
-    M = np.eye(3)
-    for k in range(L):
-        M = jacobian_T(pts[k % len(pts)]) @ M
-    eig = np.linalg.eigvals(M)
-    eig = tuple(sorted((float(v.real) for v in eig), reverse=True))
+    P = len(pts)
+    eig = [1.0, 1.0, 1.0]
+    for k in range(stability_block_length(P)):
+        eig[k % 3] *= 2.0 * pts[k % P].x
+    eig = tuple(sorted((v + 0.0 for v in eig), reverse=True))
     mags = [abs(v) for v in eig]
     if any(abs(m - 1.0) <= tol for m in mags):
         tag = "nonhyperbolic"
@@ -285,15 +277,6 @@ def _min_period_3d(seed: Point3, params: Params, nmax: int, tol=1e-9):
     return None
 
 
-def _orbit_3d(seed: Point3, params: Params, n: int):
-    out = [seed]
-    p = seed
-    for _ in range(n - 1):
-        p = apply_T(p, params)
-        out.append(p)
-    return out
-
-
 def _canonical_rotation_3d(pts):
     key = lambda p: (p.x, p.y, p.z)
     i0 = min(range(len(pts)), key=lambda i: key(pts[i]))
@@ -307,7 +290,7 @@ def cycle3d_key(pts):
 
 def _build_cycle3d(seed: Point3, params: Params, period: int, kind: str,
                    sources) -> Cycle3D:
-    pts = _orbit_3d(seed, params, period)
+    pts = orbit(seed, params, period, escape_radius=inf)
     wrap = apply_T(pts[-1], params)
     if _pt_gap(wrap, seed) > CLOSURE_TOL:
         raise LiftValidationFailed(
@@ -359,21 +342,20 @@ def fixed_points_T(params: Params):
 
 def lift_homogeneous(X: Cycle1D, params: Params = None) -> Cycle3D:
     """The single 3D cycle of period n riding one scalar n-cycle (3 must not
-    divide n).  The seed has the smallest point first and conjugate-cycle
-    points in the slots the index rule dictates."""
+    divide n).  The seed has the smallest point first and image points of
+    the cycle in the slots the index rule dictates."""
     if params is None:
         params = Params(X.b)
     n = X.period
     if n % 3 == 0:
         raise PeriodDivisibleBy3(f"period {n} is divisible by 3; use the 3n lift")
-    tri = conjugate_of(X)
-    Xp, Yp, Zp = tri.X.points, tri.Y.points, tri.Z.points
+    Y = _image_points(X)
     if n % 3 == 1:
         s = (n - 1) // 3
-        seed = Point3(Xp[0], Yp[(2 * s) % n], Zp[s % n])
+        seed = Point3(X.points[0], Y[(2 * s) % n], Y[s % n])
     else:
         s = (n - 2) // 3
-        seed = Point3(Xp[0], Yp[s % n], Zp[(2 * s + 1) % n])
+        seed = Point3(X.points[0], Y[s % n], Y[(2 * s + 1) % n])
     return _build_cycle3d(seed, params, n, "homogeneous", (cycle1d_label(X),))
 
 
@@ -389,15 +371,14 @@ def lift_homogeneous_3n(X: Cycle1D, params: Params = None) -> list:
     n = X.period
     if n < 2:
         raise ValueError("the 3n lift needs a source cycle of period >= 2")
-    tri = conjugate_of(X)
-    Xp, Yp, Zp = tri.X.points, tri.Y.points, tri.Z.points
+    x0, Y = X.points[0], _image_points(X)
     seeds = []
     for h in range(1, n // 3 + 1):
         for j in range(h, n - 2 * h + 1):
-            seeds.append(Point3(Xp[0], Yp[j - 1], Zp[j + h - 1]))
+            seeds.append(Point3(x0, Y[j - 1], Y[j + h - 1]))
     for h in range(1, (n + 1) // 3 + 1):
         for j in range(2 * h - 1, n - h + 1):
-            seeds.append(Point3(Xp[0], Yp[j - 1], Zp[j - h]))
+            seeds.append(Point3(x0, Y[j - 1], Y[j - h]))
     out, keys = [], set()
     src = (cycle1d_label(X),)
     for sd in seeds:
@@ -440,15 +421,13 @@ def lift_mixed_pair(A: Cycle1D, B: Cycle1D, params: Params = None) -> list:
     n, m = A.period, B.period
     d = gcd(n, m)
     s = lcm(n, m)
-    Za = conjugate_of(A).Z.points
-    Bb = conjugate_of(B).Y.points
-    Cb = conjugate_of(B).Z.points
+    Ya, Yb = _image_points(A), _image_points(B)
     seeds = []
     for j in range(1, d + 1):
         for l in range(1, n + 1):
-            seeds.append(Point3(A.points[0], Bb[j - 1], Za[l - 1]))
+            seeds.append(Point3(A.points[0], Yb[j - 1], Ya[l - 1]))
         for l in range(1, m + 1):
-            seeds.append(Point3(A.points[0], Bb[j - 1], Cb[l - 1]))
+            seeds.append(Point3(A.points[0], Yb[j - 1], Yb[l - 1]))
     src = (cycle1d_label(A), cycle1d_label(B))
     out, keys = [], set()
     for sd in seeds:
@@ -479,15 +458,12 @@ def lift_mixed_triple(A: Cycle1D, B: Cycle1D, C: Cycle1D,
     S = lcm(n, m, p)
     d = gcd(n, m)
     lmax = p * lcm(n, m) // S
-    Bb = conjugate_of(B).Y.points
-    Cb = conjugate_of(B).Z.points
-    Bc = conjugate_of(C).Y.points
-    Gc = conjugate_of(C).Z.points
+    Yb, Yc = _image_points(B), _image_points(C)
     seeds = []
     for j in range(1, d + 1):
         for l in range(1, lmax + 1):
-            seeds.append(Point3(A.points[0], Bb[j - 1], Gc[l - 1]))
-            seeds.append(Point3(A.points[0], Bc[l - 1], Cb[j - 1]))
+            seeds.append(Point3(A.points[0], Yb[j - 1], Yc[l - 1]))
+            seeds.append(Point3(A.points[0], Yc[l - 1], Yb[j - 1]))
     src = (cycle1d_label(A), cycle1d_label(B), cycle1d_label(C))
     out, keys = [], set()
     for sd in seeds:

@@ -1,15 +1,16 @@
 """Lyapunov spectra along orbits of the 3D map, plus the scalar exponent.
 
 Exponents are reported per application of the 3D map (not per three-step
-block).  The one-step Jacobian has a zero column whenever x = 0, so the
-frame is re-orthonormalized frequently (every step by default) and log
-arguments are floored; an exactly-singular hit can only happen on a
-superstable orbit and is flagged rather than propagated as -inf.
+block).  Three steps act on each coordinate through x -> x^2 + b, so the
+tangent cocycle over a block is diag(2x, 2y, 2z): step k stretches only
+the stream k mod 3, by |2x_k|, and each exponent is that stream's sum of
+log|2x_k| over all steps.  A log argument at or below LOG_FLOOR (an exact
+hit on the critical point x = 0) is floored, as in the scalar exponent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import log
 
 from .core import ESCAPE_RADIUS, Params, Point3
 from .errors import Diverged
@@ -33,34 +34,16 @@ class Exponent1D:
     n_used: int
 
 
-def _complete_unit(q0, q1=None):
-    # deterministic replacement for a collapsed frame vector
-    if q1 is None:
-        axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        e = min(axes, key=lambda a: abs(a[0] * q0[0] + a[1] * q0[1] + a[2] * q0[2]))
-        d = e[0] * q0[0] + e[1] * q0[1] + e[2] * q0[2]
-        v = (e[0] - d * q0[0], e[1] - d * q0[1], e[2] - d * q0[2])
-    else:
-        v = (q0[1] * q1[2] - q0[2] * q1[1],
-             q0[2] * q1[0] - q0[0] * q1[2],
-             q0[0] * q1[1] - q0[1] * q1[0])
-    nv = sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    return (v[0] / nv, v[1] / nv, v[2] / nv)
-
-
 def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
-                      transient: int = 10**4, renorm_every: int = 1,
+                      transient: int = 10**4,
                       escape_radius: float = ESCAPE_RADIUS) -> LyapunovResult:
-    """QR-style tangent accumulation along one orbit.
+    """Per-stream averages of log|2x| along one orbit, descending.
 
-    The frame is advanced by the one-step Jacobian and re-orthonormalized
-    (modified Gram-Schmidt) every `renorm_every` steps; exponents are the
-    averaged log norms.  Deterministic: no randomness, fixed order.
+    Step k adds log|2x_k| to stream k mod 3; every stream sum is divided
+    by n_iter.  Deterministic: no randomness, fixed order.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be >= 1")
     b = params.b
     R = escape_radius
     x, y, z = p0.x, p0.y, p0.z
@@ -69,54 +52,14 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
             raise Diverged(k, Point3(x, y, z))
         x, y, z = y, z, x * x + b
 
-    a0, a1, a2 = 1.0, 0.0, 0.0
-    b0, b1, b2 = 0.0, 1.0, 0.0
-    c0, c1, c2 = 0.0, 0.0, 1.0
-    s0 = s1 = s2 = 0.0
-    since = 0
-
-    def _mgs():
-        nonlocal a0, a1, a2, b0, b1, b2, c0, c1, c2, s0, s1, s2
-        n0 = sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-        s0 += log(n0 if n0 > LOG_FLOOR else LOG_FLOOR)
-        if n0 > 0.0:
-            a0, a1, a2 = a0 / n0, a1 / n0, a2 / n0
-        else:
-            a0, a1, a2 = 1.0, 0.0, 0.0
-        d = b0 * a0 + b1 * a1 + b2 * a2
-        b0, b1, b2 = b0 - d * a0, b1 - d * a1, b2 - d * a2
-        n1 = sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-        s1 += log(n1 if n1 > LOG_FLOOR else LOG_FLOOR)
-        if n1 > 0.0:
-            b0, b1, b2 = b0 / n1, b1 / n1, b2 / n1
-        else:
-            b0, b1, b2 = _complete_unit((a0, a1, a2))
-        d0 = c0 * a0 + c1 * a1 + c2 * a2
-        c0_, c1_, c2_ = c0 - d0 * a0, c1 - d0 * a1, c2 - d0 * a2
-        d1 = c0_ * b0 + c1_ * b1 + c2_ * b2
-        c0_, c1_, c2_ = c0_ - d1 * b0, c1_ - d1 * b1, c2_ - d1 * b2
-        n2 = sqrt(c0_ * c0_ + c1_ * c1_ + c2_ * c2_)
-        s2 += log(n2 if n2 > LOG_FLOOR else LOG_FLOOR)
-        if n2 > 0.0:
-            c0, c1, c2 = c0_ / n2, c1_ / n2, c2_ / n2
-        else:
-            c0, c1, c2 = _complete_unit((a0, a1, a2), (b0, b1, b2))
-
+    sums = [0.0, 0.0, 0.0]
     for k in range(n_iter):
         if abs(x) > R or abs(y) > R or abs(z) > R:
             raise Diverged(transient + k, Point3(x, y, z))
-        tx = 2.0 * x
-        a0, a1, a2 = a1, a2, tx * a0
-        b0, b1, b2 = b1, b2, tx * b0
-        c0, c1, c2 = c1, c2, tx * c0
+        g = abs(2.0 * x)
+        sums[k % 3] += log(g if g > LOG_FLOOR else LOG_FLOOR)
         x, y, z = y, z, x * x + b
-        since += 1
-        if since == renorm_every:
-            since = 0
-            _mgs()
-    if since:
-        _mgs()
-    exps = tuple(sorted((s0 / n_iter, s1 / n_iter, s2 / n_iter), reverse=True))
+    exps = tuple(sorted((s / n_iter for s in sums), reverse=True))
     return LyapunovResult(exponents=exps, n_used=n_iter, transient=transient,
                           p0=p0, b=b)
 

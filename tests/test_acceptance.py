@@ -238,7 +238,7 @@ def test_criterion_09_diagram_narrative():
     tight, well separated clusters.
     """
     def count_at(b):
-        d = bifurcation_diagram((b, b), 2, transient=1000, samples=200)
+        d = bifurcation_diagram((b, b), 1, transient=1000, samples=200)
         row = d.rows[0]
         assert row.samples is not None
         return distinct_sample_count(row.samples, tol=1e-6)

@@ -11,10 +11,10 @@ import math
 
 import pytest
 
-from quadshift import (NoEventInBracket, Params, Point3, bifurcation_diagram,
-                       distinct_sample_count, event_residuals, find_cycles_1d,
-                       find_flip, find_fold, find_transcritical,
-                       multiplier_curve)
+from quadshift import (Diverged, NoEventInBracket, Params, Point3,
+                       bifurcation_diagram, distinct_sample_count,
+                       event_residuals, find_cycles_1d, find_flip, find_fold,
+                       find_transcritical, multiplier_curve, orbit)
 
 FLIP3_B = -1.7685291524676847      # frozen: period-3 flip
 FLIP4_B = -1.3680989393912575      # frozen: period-4 flip
@@ -183,7 +183,7 @@ def test_diagram_row_shape():
 
 
 def _count_at(b, **kw):
-    d = bifurcation_diagram((b, b + 1e-9), 2, **kw)
+    d = bifurcation_diagram((b, b), 1, **kw)
     row = d.rows[0]
     assert row.samples is not None
     return distinct_sample_count(row.samples)
@@ -194,6 +194,36 @@ def test_diagram_attractor_counts():
     assert _count_at(-0.78) == 2
     assert _count_at(-1.26) == 4
     assert _count_at(-1.6) > 64
+
+
+def test_diagram_single_parameter():
+    d = bifurcation_diagram((-1.26, -1.26), 1, samples=50)
+    assert len(d.rows) == 1
+    assert d.rows[0].b == -1.26
+    assert len(d.rows[0].samples) == 50
+    with pytest.raises(ValueError):
+        bifurcation_diagram((-1.3, -1.2), 1)
+    with pytest.raises(ValueError):
+        bifurcation_diagram((-1.3, -1.3), 0)
+
+
+def test_diagram_rows_are_the_orbit_samples():
+    # the parameters run in lockstep as arrays; each row must still be
+    # exactly what the one-orbit path records, and None where it diverges
+    p0 = Point3(0.1, -0.5, 0.2)
+    d = bifurcation_diagram((-2.5, 0.5), 31, p0=p0, transient=300,
+                            samples=40)
+    kinds = set()
+    for row in d.rows:
+        try:
+            want = tuple(q.x for q in orbit(p0, Params(row.b), 40, 300))
+        except Diverged:
+            want = None
+        kinds.add(want is None)
+        assert row.samples == want
+        if want is not None:
+            assert [v.hex() for v in row.samples] == [v.hex() for v in want]
+    assert kinds == {True, False}
 
 
 def test_diagram_divergent_row():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadshift import (Diverged, Overflow, Params, Point3, apply_T, apply_T_n,
-                       as_point, h1d, h1d_n, jacobian_T, orbit)
+from quadshift import (Diverged, Overflow, Params, Point3, apply_T, as_point,
+                       h1d, h1d_n, jacobian_T, orbit)
 
 
 def test_single_step_shifts_and_kicks():
@@ -44,16 +44,6 @@ def test_three_steps_act_coordinatewise_exactly():
         assert p.x == h1d_n(p0.x, params, k)
         assert p.y == h1d_n(p0.y, params, k)
         assert p.z == h1d_n(p0.z, params, k)
-
-
-def test_fast_iteration_path_matches_stepping():
-    rng = np.random.default_rng(11)
-    params = Params(-1.3)
-    for _ in range(100):
-        p0 = Point3(*rng.uniform(-1.2, 1.2, size=3))
-        n = int(rng.integers(1, 20))
-        assert apply_T_n(p0, params, n, fast=True) == \
-            apply_T_n(p0, params, n, fast=False)
 
 
 @settings(max_examples=200, deadline=None)

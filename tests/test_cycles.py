@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3,
-                       classify_stability, conjugate_of, cycle1d_label,
-                       find_cycles_1d, fixed_point_cycles_1d, fixed_points_T,
-                       stability_block_length)
-from quadshift.cycles import _sorted_multiplier
+from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
+                       classify_stability, cycle1d_label, find_cycles_1d,
+                       fixed_point_cycles_1d, fixed_points_T, jacobian_T,
+                       lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
+                       lift_mixed_triple, stability_block_length)
+from quadshift.cycles import STABILITY_TOL
 
 
 def two_cycle_points(b):
@@ -78,16 +80,6 @@ def test_cycle1d_points_are_min_first():
             assert c.points[0] == min(c.points)
 
 
-def test_conjugate_triple_is_an_orbit_aligned_rotation():
-    X = find_cycles_1d(Params(-1.0), 2)[0]
-    tri = conjugate_of(X)
-    assert tri.X.points == (-1.0, 0.0)
-    assert tri.Y.points == (0.0, -1.0)
-    assert tri.Z.points == (0.0, -1.0)
-    # same orbit, so the sorted-product multiplier is bitwise identical
-    assert _sorted_multiplier(tri.Y.points) == _sorted_multiplier(tri.X.points)
-
-
 def test_stability_block_length_convention():
     assert stability_block_length(1) == 3
     assert stability_block_length(2) == 6
@@ -129,6 +121,46 @@ def test_classify_stability_flags_neutral_cycle():
     eig, tag = classify_stability(_period2_lift_orbit(b), b)
     assert tag == "nonhyperbolic"
     assert eig == pytest.approx((-1.0, -1.0, -1.0), abs=1e-9)
+
+
+def _reference_stability(points):
+    # the definition: eigenvalues of the product of one-step Jacobians over
+    # the stability block, tagged by their moduli
+    M = np.eye(3)
+    for k in range(stability_block_length(len(points))):
+        M = jacobian_T(points[k % len(points)]) @ M
+    eig = tuple(sorted((float(v.real) for v in np.linalg.eigvals(M)),
+                       reverse=True))
+    mags = [abs(v) for v in eig]
+    if any(abs(m - 1.0) <= STABILITY_TOL for m in mags):
+        return eig, "nonhyperbolic"
+    return eig, "stable" if all(m < 1.0 for m in mags) else "unstable"
+
+
+def _lifts_at_minus_one():
+    params = Params(-1.0)
+    x1, x2 = find_cycles_1d(params, 1)
+    (c2,) = find_cycles_1d(params, 2)
+    out = list(fixed_points_T(params))
+    out += [lift_homogeneous(c, params) for c in (x1, x2, c2)]
+    out += lift_homogeneous_3n(c2, params)
+    for A, B in ((x1, x2), (x1, c2), (x2, c2)):
+        out += lift_mixed_pair(A, B, params)
+    out += lift_mixed_triple(x1, x2, c2, params)
+    return out
+
+
+def test_closed_form_stability_matches_the_jacobian_product():
+    # bitwise, signed zeros included: the superstable lifts at b = -1 have
+    # eigenvalue products that come out as -0.0 before the + 0.0
+    orbits = census(Params(-1.9), 18) + _lifts_at_minus_one()
+    assert len(orbits) > 1188
+    for c in orbits:
+        eig, tag = classify_stability(c.points, c.b)
+        ref_eig, ref_tag = _reference_stability(c.points)
+        assert [v.hex() for v in eig] == [v.hex() for v in ref_eig]
+        assert tag == ref_tag
+        assert (eig, tag) == (c.eigenvalues, c.stability)
 
 
 def test_tangent_cycle_is_found_at_the_fold_itself():

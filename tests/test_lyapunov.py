@@ -1,9 +1,9 @@
-"""Lyapunov spectra: tangent-space QR accumulation vs independent oracles.
+"""Lyapunov spectra: per-stream log averages vs independent oracles.
 
 Oracles used here:
   * the scalar-coupling structure forces every 3D exponent to be one third
-    of a scalar exponent, so `lyapunov_1d` (a plain log-average, no linear
-    algebra) checks the QR machinery;
+    of a scalar exponent, so `lyapunov_1d` (a plain log-average of one
+    scalar orbit) checks the three interleaved streams of the spectrum;
   * at b = -2 the scalar exponent is ln 2 (the map is conjugate to a full
     shift on the interval);
   * on an attracting fixed point the spectrum is exactly ln|2x| per scalar
@@ -69,13 +69,22 @@ def test_contracting_spectrum_on_stable_fixed_point():
         assert abs(e - want) < 1e-3
 
 
-def test_renorm_cadence_is_cosmetic():
-    r1 = lyapunov_spectrum(GENERIC_X0, Params(-2.0), n_iter=10**5,
-                           renorm_every=1)
-    r5 = lyapunov_spectrum(GENERIC_X0, Params(-2.0), n_iter=10**5,
-                           renorm_every=5)
-    for a, b in zip(r1.exponents, r5.exponents):
-        assert abs(a - b) < 1e-4
+def test_critical_hits_are_floored_once_per_stream():
+    # from the origin at b = 0 every stream sits on the critical point, so
+    # each step floors one log: every exponent is a third of the scalar one
+    scalar = lyapunov_1d(0.0, Params(0.0), n_iter=3000, transient=0)
+    assert scalar.superstable
+    r = lyapunov_spectrum(Point3(0.0, 0.0, 0.0), Params(0.0), n_iter=3000,
+                          transient=0)
+    for e in r.exponents:
+        assert e == pytest.approx(scalar.value / 3.0, rel=1e-12)
+    # at b = -2 each stream runs 0 -> -2 -> 2 -> 2 ...: one floored log,
+    # then log 4 on each of its other 999 steps
+    r = lyapunov_spectrum(Point3(0.0, 0.0, 0.0), Params(-2.0), n_iter=3000,
+                          transient=0)
+    want = (999 * math.log(4.0) + math.log(1e-300)) / 3000
+    for e in r.exponents:
+        assert e == pytest.approx(want, rel=1e-12)
 
 
 def test_spectrum_is_deterministic():
@@ -111,7 +120,5 @@ def test_spectrum_raises_on_divergence():
 def test_spectrum_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lyapunov_spectrum(GENERIC_X0, Params(-1.0), n_iter=0)
-    with pytest.raises(ValueError):
-        lyapunov_spectrum(GENERIC_X0, Params(-1.0), renorm_every=0)
     with pytest.raises(ValueError):
         lyapunov_1d(0.1, Params(-1.0), n_iter=0)
