@@ -10,6 +10,7 @@ validated by direct iteration and never trusted on its own.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, inf, lcm, sqrt
 
@@ -25,6 +26,7 @@ STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
 CLOSURE_TOL = 1e-10     # orbit must return to its seed this tightly
 DEDUP_DECIMALS = 9      # orbits equal iff sorted points match at this rounding
 DEGENERATE_TOL = 1e-7   # distinct cycles closer than this get flagged, not merged
+ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,101 @@ def _refine_tangent(x, params, n, rounds=40):
     return x
 
 
+def _newton_1d_array(x, params, n):
+    # _newton_1d with its default iters and res_tol on every entry of x at
+    # once; an entry stops exactly where the scalar solver would, so the
+    # two agree bit for bit
+    b = params.b
+    x = np.array(x, dtype=float)
+    live = np.arange(x.size)
+    for _ in range(60):
+        if live.size == 0:
+            break
+        xl = x[live]
+        v = xl
+        d = np.ones_like(xl)
+        for _ in range(n):
+            d = 2.0 * v * d
+            v = v * v + b
+        fv = v - xl
+        dfv = d - 1.0
+        moving = dfv != 0.0
+        live, xl, fv, dfv = live[moving], xl[moving], fv[moving], dfv[moving]
+        step = fv / dfv
+        x[live] = xl - step
+        live = live[~((np.abs(fv) < 5e-14) & (np.abs(step) < 1e-13))]
+    return x
+
+
+def _bisect_brackets(a, c, fa, params, n):
+    # 40 halvings of every bracket [a, c] at once; fa is H^n(a) - a
+    for _ in range(40):
+        mid = 0.5 * (a + c)
+        fm = _residual_1d(mid, params, n)
+        left = fa * fm <= 0
+        c = np.where(left, mid, c)
+        a = np.where(left, a, mid)
+        fa = np.where(left, fa, fm)
+    return 0.5 * (a + c)
+
+
+def _sup_gap(p, q):
+    return max(abs(a - c) for a, c in zip(p, q))
+
+
+def _first_distinct(keys):
+    """Indices of the keys within ORBIT_DEDUP_TOL (sup norm) of no earlier
+    kept key.
+
+    Each key is an ascending sequence, so two keys that close have first
+    entries that close.  Only kept keys whose first entry lies within twice
+    the tolerance are compared; the margin keeps the rounding of the window
+    ends from dropping a pair.  The first key of each match wins.
+    """
+    tol = ORBIT_DEDUP_TOL
+    mins, ids, kept = [], [], []
+    for i, key in enumerate(keys):
+        m = key[0]
+        window = ids[bisect_left(mins, m - 2 * tol):bisect_right(mins, m + 2 * tol)]
+        if any(_sup_gap(key, keys[j]) < tol for j in window):
+            continue
+        pos = bisect_right(mins, m)
+        mins.insert(pos, m)
+        ids.insert(pos, i)
+        kept.append(i)
+    return kept
+
+
+def _degenerate_flags(keys):
+    """Flag every key within DEGENERATE_TOL (sup norm) of another one.
+
+    keys are ascending sequences, listed in ascending order of their first
+    entry; the sweep from each key stops once first entries differ by the
+    tolerance.
+    """
+    flags = [False] * len(keys)
+    for i, ki in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            kj = keys[j]
+            if kj[0] - ki[0] >= DEGENERATE_TOL:
+                break
+            if _sup_gap(ki, kj) < DEGENERATE_TOL:
+                flags[i] = flags[j] = True
+    return flags
+
+
 def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
                    grid_points: int = 20001) -> list:
     """All minimal-period-n orbits of the scalar map inside the interval.
 
-    Sign changes of H^n(x) - x on a uniform grid are bisected then polished
-    by Newton; local minima of |H^n(x) - x| below 1e-3 seed extra Newton
-    runs so tangent roots at folds are not silently missed.  Roots whose
-    minimal period properly divides n are discarded; orbits are deduplicated
-    on sorted points and near-coincident cycles get a degenerate flag.
+    Sign changes of H^n(x) - x on a uniform grid are bisected, all brackets
+    at once, then polished by one array Newton that stops each entry where
+    the scalar `_newton_1d` would; local minima of |H^n(x) - x| below 1e-3
+    seed extra scalar Newton runs so tangent roots at folds are not silently
+    missed.  Roots whose minimal period properly divides n are discarded.
+    Orbits are deduplicated on sorted points, comparing only orbits whose
+    smallest points fall in a window around each other (the first root
+    found wins), and near-coincident cycles get a degenerate flag.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -164,70 +252,48 @@ def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
         raise ValueError("interval must satisfy lo < hi")
     b = params.b
     xs = np.linspace(lo, hi, grid_points)
-    y = xs.copy()
-    for _ in range(n):
-        y = y * y + b
-    f = y - xs
+    with np.errstate(over="ignore"):
+        # grid points beyond beta escape to +inf, which has the right sign
+        f = h1d_n(xs, params, n) - xs
 
-    roots = []
     sgn = np.sign(f)
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    for i in flips:
-        a, c = xs[i], xs[i + 1]
-        fa = f[i]
-        for _ in range(40):
-            mid = 0.5 * (a + c)
-            fm = _residual_1d(mid, params, n)
-            if fa * fm <= 0:
-                c = mid
-            else:
-                a, fa = mid, fm
-        roots.append(_newton_1d(0.5 * (a + c), params, n))
-    # exact-zero grid hits
-    for i in np.nonzero(sgn == 0)[0]:
-        roots.append(float(xs[i]))
+    mids = _bisect_brackets(xs[flips], xs[flips + 1], f[flips], params, n)
+    # polished bisection roots, then exact-zero grid hits
+    roots = [_newton_1d_array(mids, params, n), xs[sgn == 0]]
     # tangency candidates: interior local minima of |f| with no sign change
     af = np.abs(f)
-    for i in range(1, grid_points - 1):
-        if af[i] < 1e-3 and af[i] <= af[i - 1] and af[i] <= af[i + 1] \
-                and sgn[i - 1] == sgn[i] == sgn[i + 1]:
-            x = _newton_1d(xs[i], params, n, iters=100)
-            if abs(_residual_1d(x, params, n)) < 1e-10:
-                x2 = _refine_tangent(x, params, n)
-                if abs(x2 - x) <= 1e-4 and \
-                        abs(_residual_1d(x2, params, n)) < 1e-10:
-                    x = x2
-                roots.append(x)
+    inner = af[1:-1]
+    tangent = (inner < 1e-3) & (inner <= af[:-2]) & (inner <= af[2:]) \
+        & (sgn[:-2] == sgn[1:-1]) & (sgn[1:-1] == sgn[2:])
+    for i in np.nonzero(tangent)[0] + 1:
+        x = _newton_1d(float(xs[i]), params, n, iters=100)
+        if abs(_residual_1d(x, params, n)) < 1e-10:
+            x2 = _refine_tangent(x, params, n)
+            if abs(x2 - x) <= 1e-4 and \
+                    abs(_residual_1d(x2, params, n)) < 1e-10:
+                x = x2
+            roots.append([x])
+    roots = np.concatenate(roots)
 
-    # keep converged, in-range, minimal-period roots
-    kept = []
-    for x in roots:
-        if not (lo - 1e-9 <= x <= hi + 1e-9):
-            continue
-        if abs(_residual_1d(x, params, n)) > 1e-10:
-            continue
-        if any(abs(h1d_n(x, params, d) - x) < 1e-8 for d in _proper_divisors(n)):
-            continue
-        kept.append(x)
+    # keep converged, in-range, minimal-period roots; row k of orbs is the
+    # orbit of the k-th root, column j its j-th image
+    x = roots[(lo - 1e-9 <= roots) & (roots <= hi + 1e-9)]
+    orbs = np.empty((x.size, n))
+    orbs[:, 0] = x
+    for j in range(1, n):
+        orbs[:, j] = orbs[:, j - 1] * orbs[:, j - 1] + b
+    keep = np.abs(orbs[:, -1] * orbs[:, -1] + b - x) <= 1e-10
+    for d in _proper_divisors(n):
+        keep &= np.abs(orbs[:, d] - x) >= 1e-8
+    orbs = orbs[keep]
 
     # group roots into orbits, dedup on sorted points
-    orbits = []
-    keys = []
-    for x in kept:
-        orb = _orbit_1d(x, b, n)
-        key = tuple(sorted(orb))
-        if any(max(abs(a - c) for a, c in zip(key, k)) < 1e-9 for k in keys):
-            continue
-        keys.append(key)
-        orbits.append(_rotate_min_first(orb))
-
-    orbits.sort(key=lambda o: o[0])
-    degenerate = [False] * len(orbits)
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            if max(abs(a - c) for a, c in zip(sorted(orbits[i]), sorted(orbits[j]))) < DEGENERATE_TOL:
-                degenerate[i] = degenerate[j] = True
-    return [cycle1d_from_orbit(b, orb, deg) for orb, deg in zip(orbits, degenerate)]
+    keys = np.sort(orbs, axis=1).tolist()
+    distinct = sorted(_first_distinct(keys), key=lambda i: keys[i][0])
+    degenerate = _degenerate_flags([keys[i] for i in distinct])
+    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist()), deg)
+            for i, deg in zip(distinct, degenerate)]
 
 
 # ---------------------------------------------------------------------------

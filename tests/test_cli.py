@@ -4,17 +4,23 @@ Everything here goes through `python -m quadshift` so the argv plumbing,
 not just the command functions, is on the hook.
 """
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "quadshift"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args, **kw):
+    # the subprocess imports this checkout's package, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          timeout=300, **kw)
+                          timeout=300, env=env, **kw)
 
 
 # ---------------------------------------------------------------------------
