@@ -5,7 +5,8 @@ chaotic set plus a large escape region) this classifies a z = 0.5 slice
 over [-2, 2]^2 and writes, per station: the label grid CSV, the JSON
 sidecar, and a PPM image in the default palette.
 
-The 400x400 default takes a minute or two; use --res for a quick look.
+The 400x400 default takes about 5 s per station on a 2-CPU machine; use
+--res for a quick look.
 
 Usage: python3 scripts/basin_figures.py [--res 400] [--out-dir out]
 """

@@ -2,12 +2,16 @@
 
 A catalog is built once from seed orbits: short-period limit sets are
 detected exactly by recurrence, everything else bounded is sampled into a
-point-cloud signature.  Grid cells are then iterated in bulk (plain numpy
-arrays, escaped cells keep iterating harmlessly toward inf) and their
-post-transient tails matched against the signatures by sup-distance
-nearest neighbors.  A cell's label is the best-matching attractor below
-the match tolerance, the divergence label on escape, or undecided --
-undecided cells get one retry with a larger budget before that sticks.
+point-cloud signature.  Grid cells are then iterated as three scalar
+streams, since T^3 acts on each coordinate through H(u) = u^2 + b: every
+distinct start coordinate of the batch is iterated once under H, and each
+cell's escape test and post-transient tail are read off its three streams,
+bit-equal to stepping the 3D map.  Tails are matched against the
+signatures by sup-distance nearest neighbors, and matching against an
+attractor stops at a cell's first tail sample out of tolerance.  A cell's
+label is the best-matching attractor below the match tolerance, the
+divergence label on escape, or undecided -- undecided cells get one retry
+with a larger budget before that sticks.
 
 The same batch engine classifies single points, so a slice cell and a
 lone query at the same coordinates always agree.
@@ -41,6 +45,20 @@ class BasinOptions:
     cycle_search: int = 64         # recurrence horizon for exact cycle detection
     tail_samples: int = 16
     retry_factor: int = 4
+
+    def __post_init__(self):
+        # an empty tail would match every attractor at distance 0
+        if self.tail_samples < 1:
+            raise ValueError(f"tail_samples must be >= 1, got {self.tail_samples}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        if self.transient < 0:
+            raise ValueError(f"transient must be >= 0, got {self.transient}")
+        if self.max_iter + self.transient < 1:
+            raise ValueError("max_iter + transient must be >= 1, got "
+                             f"{self.max_iter} + {self.transient}")
+        if self.retry_factor < 1:    # keeps the retry's budget >= the first's
+            raise ValueError(f"retry_factor must be >= 1, got {self.retry_factor}")
 
 
 @dataclass(frozen=True)
@@ -105,41 +123,81 @@ def default_seeds() -> tuple:
 
 
 def _evolve(X, Y, Z, b, n_steps, tail_n, R):
-    """Advance a batch of states n_steps; record the last tail_n states.
+    """Advance a batch of states n_steps (>= 1); record the last tail_n states.
 
-    Returns (escaped mask, tails (N, tail_n, 3)).  Escaped states keep
-    iterating toward inf -- cheap, NaN-free, and keeps the arrays dense.
+    Returns (escaped mask, tails (N, tail_n, 3)), bit-equal to stepping the
+    3D map, but the batch is never stepped in 3D.  With s_0, s_1, s_2 =
+    x, y, z and s_{j+3} = H(s_j), the state after step k is (s_{k+1},
+    s_{k+2}, s_{k+3}), so s_{3m+r} = H^m(start_r): a cell is three scalar
+    streams.  Every distinct start value (by bit pattern, so -0.0 stays
+    apart from 0.0) is iterated once, (n_steps+2)//3 steps of H.  A cell
+    escaped iff some |s_j| > R for 1 <= j <= n_steps+2, and tail sample i,
+    column c is s_{rec0+1+i+c}, gathered from the few iterates kept.
+    Escaped streams keep iterating toward inf -- cheap and NaN-free.
     """
     N = X.size
-    escaped = np.zeros(N, dtype=bool)
     tail_n = min(tail_n, n_steps)
-    tails = np.zeros((N, tail_n, 3))
     rec0 = n_steps - tail_n
+    starts = np.concatenate((X, Y, Z)).astype(np.float64)
+    keys, inv = np.unique(starts.view(np.int64), return_inverse=True)
+    inv = inv.reshape(3, N)
+    w = keys.view(np.float64)
+    n_iter = (n_steps + 2) // 3         # s_{n_steps+2} is H^n_iter of some start
+    m_lo = (rec0 + 1) // 3              # the first tail sample is H^m_lo of some start
+    kept = np.empty((n_iter - m_lo + 1, w.size))
+    hit = np.zeros(w.size, dtype=bool)  # |H^m(u)| > R for some 1 <= m <= current
+    hits_upto = {}                      # the last two m: where the streams' tests end
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            X, Y, Z = Y, Z, X * X + b
-            escaped |= (np.abs(X) > R) | (np.abs(Y) > R) | (np.abs(Z) > R)
-            if k >= rec0:
-                i = k - rec0
-                tails[:, i, 0] = X
-                tails[:, i, 1] = Y
-                tails[:, i, 2] = Z
+        hit0 = np.abs(w) > R
+        for m in range(n_iter + 1):
+            if m:
+                w = w * w + b
+                hit = hit | (np.abs(w) > R)
+            if m >= m_lo:
+                kept[m - m_lo] = w
+            if m >= n_iter - 1:
+                hits_upto[m] = hit
+    escaped = np.zeros(N, dtype=bool)
+    for r in range(3):
+        # stream r is tested up to m = (n_steps+2-r)//3, n_iter or n_iter-1;
+        # x is first tested after its first step, y and z already at m = 0
+        esc = hits_upto[(n_steps + 2 - r) // 3]
+        if r:
+            esc = esc | hit0
+        escaped |= esc[inv[r]]
+    j = rec0 + 1 + np.arange(tail_n)[:, None] + np.arange(3)   # (tail_n, 3)
+    tails = kept[j // 3 - m_lo, inv.T[:, j % 3]]
     return escaped, tails
 
 
 def _match_tails(tails, bounded, attractors, match_tol):
-    """Best-match labels for bounded cells; UNDECIDED where nothing fits."""
+    """Best-match labels for bounded cells; UNDECIDED where nothing fits.
+
+    A cell's distance to an attractor is the largest sup-distance from its
+    tail samples to the signature.  Matching stops at the first sample out
+    of tolerance: sample t is queried only for cells whose earlier samples
+    all came within match_tol, so a cell that drops out keeps a distance
+    >= match_tol, survivors get their exact distance, and the argmin (first
+    id on ties) and the tolerance test pick the label a full query would.
+    """
     N = tails.shape[0]
     labels = np.full(N, UNDECIDED, dtype=int)
     idx = np.nonzero(bounded)[0]
     if idx.size == 0 or not attractors:
         return labels
-    flat = tails[idx].reshape(-1, 3)
-    dists = np.empty((len(attractors), idx.size))
+    sub = tails[idx]
+    dists = np.zeros((len(attractors), idx.size))
     for a_i, att in enumerate(attractors):
         tree = cKDTree(att.signature)
-        d, _ = tree.query(flat, k=1, p=np.inf)
-        dists[a_i] = d.reshape(idx.size, -1).max(axis=1)
+        run = dists[a_i]
+        alive = np.arange(idx.size)
+        for t in range(sub.shape[1]):
+            d, _ = tree.query(sub[alive, t], k=1, p=np.inf,
+                              distance_upper_bound=match_tol)
+            run[alive] = np.maximum(run[alive], d)
+            alive = alive[d < match_tol]
+            if alive.size == 0:
+                break
     best = np.argmin(dists, axis=0)
     best_d = dists[best, np.arange(idx.size)]
     ok = best_d < match_tol
@@ -150,15 +208,14 @@ def _match_tails(tails, bounded, attractors, match_tol):
 
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
     n_steps = options.transient + options.max_iter
-    escaped, tails = _evolve(X0.copy(), Y0.copy(), Z0.copy(), b, n_steps,
-                             options.tail_samples, options.escape_radius)
+    escaped, tails = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples,
+                             options.escape_radius)
     labels = _match_tails(tails, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
     retry = np.nonzero(labels == UNDECIDED)[0]
     if retry.size:
         n_long = options.transient + options.retry_factor * options.max_iter
-        esc2, tails2 = _evolve(X0[retry].copy(), Y0[retry].copy(),
-                               Z0[retry].copy(), b, n_long,
+        esc2, tails2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
                                options.tail_samples, options.escape_radius)
         sub = _match_tails(tails2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
@@ -261,9 +318,12 @@ def classify_point(p0: Point3, params: Params, catalog,
 def basin_slice(params: Params, spec: SliceSpec, catalog,
                 options: BasinOptions = BasinOptions(),
                 threads: int = 1) -> BasinGrid:
-    """Classify every cell center of the slice.  Output is independent of
-    the thread count: rows are chunked, each chunk is pure, and the label
-    matrix is assembled in canonical order."""
+    """Classify every cell center of the slice.  The cells are iterated as
+    three scalar streams, one per coordinate value of the slice, so the
+    iteration costs O((nu + nv + 1) * steps / 3), not O(nu * nv * steps);
+    tail matching stops at each cell's first sample out of tolerance.
+    Output is independent of the thread count: rows are chunked, each chunk
+    is pure, and the label matrix is assembled in canonical order."""
     if spec.nu < 2 or spec.nv < 2:
         raise ValueError("resolution must be >= 2 per swept axis")
     U = spec.u_centers()

@@ -7,11 +7,13 @@ attracting sets are open).
 """
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from quadshift import (DIVERGENT, UNDECIDED, Attractor, BasinGrid,
                        BasinOptions, PaletteMissingLabel, Params, Point3,
-                       SliceSpec, basin_slice, build_catalog, classify_point,
-                       default_palette, default_seeds, render_grid)
+                       SliceSpec, basin_slice, basins, build_catalog,
+                       classify_point, default_palette, default_seeds,
+                       render_grid)
 
 from conftest import BASIN_CHECK_OPTIONS
 
@@ -206,6 +208,157 @@ def test_escape_dominates_at_minus_two(basin_grid_b2):
     labs = set(np.unique(grid.labels))
     assert DIVERGENT in labs
     assert any(l >= 0 for l in labs)  # the chaotic interval survives
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the plain loops they replace
+
+
+def _evolve_by_steps(X, Y, Z, b, n_steps, tail_n, R):
+    # the 3D step loop: every cell stepped through T n_steps times
+    N = X.size
+    escaped = np.zeros(N, dtype=bool)
+    tail_n = min(tail_n, n_steps)
+    tails = np.zeros((N, tail_n, 3))
+    rec0 = n_steps - tail_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            X, Y, Z = Y, Z, X * X + b
+            escaped |= (np.abs(X) > R) | (np.abs(Y) > R) | (np.abs(Z) > R)
+            if k >= rec0:
+                i = k - rec0
+                tails[:, i, 0] = X
+                tails[:, i, 1] = Y
+                tails[:, i, 2] = Z
+    return escaped, tails
+
+
+def _match_tails_by_full_query(tails, bounded, attractors, match_tol):
+    # every tail sample of every bounded cell against every attractor
+    N = tails.shape[0]
+    labels = np.full(N, UNDECIDED, dtype=int)
+    idx = np.nonzero(bounded)[0]
+    if idx.size == 0 or not attractors:
+        return labels
+    flat = tails[idx].reshape(-1, 3)
+    dists = np.empty((len(attractors), idx.size))
+    for a_i, att in enumerate(attractors):
+        tree = cKDTree(att.signature)
+        d, _ = tree.query(flat, k=1, p=np.inf)
+        dists[a_i] = d.reshape(idx.size, -1).max(axis=1)
+    best = np.argmin(dists, axis=0)
+    best_d = dists[best, np.arange(idx.size)]
+    ok = best_d < match_tol
+    ids = np.array([a.id for a in attractors], dtype=int)
+    labels[idx[ok]] = ids[best[ok]]
+    return labels
+
+
+def _start_batch(rng, R):
+    """Random starts with signed zeros, tied coordinates, one coordinate at
+    a time beyond R, values exactly at R and values that overflow to inf."""
+    special = np.array([0.0, -0.0, R, -R, 1.2 * R, -1.5 * R, 1e200, -1e200])
+    cols = rng.uniform(-2.2, 2.2, size=(3, 96))
+    pick = rng.random((3, 96)) < 0.35
+    cols[pick] = rng.choice(special, size=int(pick.sum()))
+    cols[1, :12] = cols[0, :12]                 # y tied to x
+    cols[2, 12:24] = cols[0, 12:24]             # z tied to x
+    cols[:, 24:30] = cols[0, 24:30]             # x = y = z
+    cols[:, 30:33] = 0.1
+    for r in range(3):                          # only one coordinate beyond R
+        cols[r, 30 + r] = 1.2 * R
+    cols[:, 33:36] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
+    return cols
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 7, 32])
+def test_scalar_stream_evolve_is_bitwise_the_step_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    for b, R in [(-1.864, 4.0), (-1.864, 1.0), (-2.0, 4.0), (0.25, 1.5)]:
+        X, Y, Z = _start_batch(rng, R)
+        for tail_n in (1, 2, n_steps, n_steps + 5):
+            esc, tails = basins._evolve(X, Y, Z, b, n_steps, tail_n, R)
+            esc_ref, tails_ref = _evolve_by_steps(X, Y, Z, b, n_steps,
+                                                  tail_n, R)
+            assert np.array_equal(esc, esc_ref)
+            assert tails.shape == tails_ref.shape
+            assert np.array_equal(tails.view(np.int64),
+                                  tails_ref.view(np.int64))
+
+
+def _point_attractor(id_, pt):
+    return Attractor(id=id_, kind="fixed_point", period=1,
+                     signature=np.array([pt], dtype=float), b=0.0)
+
+
+def test_early_stop_matcher_edge_cases_match_the_full_query():
+    # sample 0 sits at sup-distance exactly 0.25 from attractor 0, sample
+    # 1 at exactly 0.25 from attractor 1; cell 2 is equidistant (0.125)
+    # from attractors 2 and 3, so the first in catalog order must win
+    cats = [_point_attractor(7, (0.25, 0.0, 0.0)),
+            _point_attractor(4, (0.0, 0.0, -0.25)),
+            _point_attractor(9, (1.0, 1.125, 1.0)),
+            _point_attractor(2, (1.0, 0.875, 1.0))]
+    tails = np.array([
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+        [[5.0, 5.0, 5.0], [0.25, 0.0, 0.0]],
+    ])
+    bounded = np.ones(4, dtype=bool)
+    for tol in (0.125, 0.25, 0.2500000001, 0.5, np.inf):
+        for cat in (cats, cats[::-1], cats[:1], []):
+            for mask in (bounded, np.zeros(4, dtype=bool),
+                         np.array([True, False, True, False])):
+                got = basins._match_tails(tails, mask, tuple(cat), tol)
+                ref = _match_tails_by_full_query(tails, mask, tuple(cat), tol)
+                assert np.array_equal(got, ref), (tol, len(cat), mask)
+    labels = basins._match_tails(tails, bounded, tuple(cats), 0.25)
+    assert labels[0] == UNDECIDED       # exactly at the tolerance is out
+    assert labels[2] == 9               # tie: the first attractor wins
+
+
+def test_early_stop_matcher_random_clouds_match_the_full_query():
+    rng = np.random.default_rng(5)
+    cats = tuple(Attractor(id=k, kind="chaotic", period=None,
+                           signature=c + rng.normal(0, 0.3, size=(200, 3)),
+                           b=0.0)
+                 for k, c in enumerate(([0, 0, 0], [0.4, 0.4, 0.4],
+                                        [-0.5, 0.2, 0.1])))
+    tails = rng.normal(0, 0.5, size=(500, 16, 3))
+    bounded = rng.random(500) < 0.9
+    for tol in (0.02, 0.1, 0.3, 1.0, np.inf):
+        got = basins._match_tails(tails, bounded, cats, tol)
+        ref = _match_tails_by_full_query(tails, bounded, cats, tol)
+        assert np.array_equal(got, ref), tol
+
+
+@pytest.mark.parametrize("fixed_axis", ["x", "y", "z"])
+def test_slice_labels_match_the_reference_kernels(monkeypatch, fixed_axis):
+    params = Params(-1.864)
+    options = BasinOptions(max_iter=300, transient=100, signature_samples=1024,
+                           match_tol=0.3)
+    cat = build_catalog(params, options=options)
+    spec = SliceSpec(fixed_axis=fixed_axis, fixed_value=0.5,
+                     u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), nu=24, nv=20)
+    grid = basin_slice(params, spec, cat, options)
+    monkeypatch.setattr(basins, "_evolve", _evolve_by_steps)
+    monkeypatch.setattr(basins, "_match_tails", _match_tails_by_full_query)
+    ref = basin_slice(params, spec, cat, options)
+    assert np.array_equal(grid.labels, ref.labels)
+    assert len({int(v) for v in np.unique(ref.labels)}) >= 3
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"tail_samples": 0}, "tail_samples"),
+    ({"max_iter": -1}, "max_iter"),
+    ({"transient": -1}, "transient"),
+    ({"max_iter": 0, "transient": 0}, "max_iter + transient"),
+    ({"retry_factor": 0, "transient": 0}, "retry_factor"),
+])
+def test_options_reject_empty_tails(kwargs, field):
+    with pytest.raises(ValueError, match=field.replace("+", r"\+")):
+        BasinOptions(**kwargs)
 
 
 # ---------------------------------------------------------------------------

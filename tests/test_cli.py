@@ -174,6 +174,18 @@ def test_basin_files_and_render_round_trip(tmp_path):
     assert out2.read_bytes() == blob
 
 
+@pytest.mark.parametrize("flags, field", [
+    (("--tail-samples", "0"), "tail_samples"),
+    (("--max-iter", "0", "--transient", "0"), "max_iter + transient"),
+])
+def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
+    csv = tmp_path / "basin.csv"
+    r = run("basin", "--b", "-0.4", "--res", "4,4", *flags, "--out", str(csv))
+    assert r.returncode == 1
+    assert field in r.stderr
+    assert not csv.exists()
+
+
 def test_diagram_csv_shape(tmp_path):
     out = tmp_path / "diag.csv"
     r = run("diagram", "--b-min", "-1.3", "--b-max", "-1.2", "--steps", "3",
