@@ -104,12 +104,8 @@ def _cycles3d_payload(b, cfg, found):
 
 
 def _sorted_cycles3d(found):
-    seen = {}
-    for c in found:
-        seen.setdefault(cycles.cycle3d_key(c.points), c)
-    return sorted(seen.values(),
-                  key=lambda c: (c.period, c.points[0].x, c.points[0].y,
-                                 c.points[0].z))
+    return sorted(found, key=lambda c: (c.period, c.points[0].x,
+                                        c.points[0].y, c.points[0].z))
 
 
 def _c1key(c):

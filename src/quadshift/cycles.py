@@ -4,27 +4,26 @@ A cycle of the scalar map x -> x^2 + b can be placed into the 3D map in
 several ways: one orbit per scalar cycle when the period is not a multiple
 of 3 ("homogeneous" lifts), a family of period-3n orbits built from one
 period-n cycle, and mixed orbits woven from two or three coexisting scalar
-cycles.  The seed index rules are fiddly, so every generated seed is
-validated by direct iteration and never trusted on its own.
+cycles.  Since T^3 acts on each coordinate through the scalar map, a 3D
+state whose coordinates are points of scalar cycles is a triple of (cycle,
+phase) pairs, and T sends (a:i, b:j, c:k) to (b:j, c:k, a:i+1).  The lifts
+walk these integer states and read the points off the scalar cycles, which
+are checked once each, in scalar form, before use.
 """
 from __future__ import annotations
 
-import logging
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import gcd, inf, lcm, sqrt
+from math import lcm, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, apply_T, h1d_n, orbit
-from .errors import (CountMismatch, LiftValidationFailed, NoRealFixedPoints,
-                     PeriodDivisibleBy3)
-
-log = logging.getLogger(__name__)
+from .core import Params, Point3, h1d_n
+from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
-CLOSURE_TOL = 1e-10     # orbit must return to its seed this tightly
-DEDUP_DECIMALS = 9      # orbits equal iff sorted points match at this rounding
+CLOSURE_TOL = 1e-10     # each source point must map to the next this tightly
 DEGENERATE_TOL = 1e-7   # distinct cycles closer than this get flagged, not merged
 ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
 
@@ -49,7 +48,7 @@ class Cycle1D:
 class Provenance:
     kind: str                 # "homogeneous" | "homogeneous_3n" | "mixed_pair" | "mixed_triple"
     sources: tuple            # labels of the scalar cycles used
-    seed: Point3              # the seed point the orbit was grown from
+    seed: Point3              # the orbit's first (lexicographically smallest) point
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,6 @@ def _orbit_1d(x, b, n):
     for _ in range(n - 1):
         pts.append(pts[-1] * pts[-1] + b)
     return pts
-
-
-def _image_points(X: Cycle1D) -> tuple:
-    # the image of each point of X in orbit order: X rotated by one
-    # position, *not* re-sorted smallest-first; the lift seed rules index
-    # into this pointwise alignment
-    return X.points[1:] + X.points[:1]
 
 
 def _sorted_multiplier(points) -> float:
@@ -330,19 +322,6 @@ def classify_stability(points, b, tol: float = STABILITY_TOL):
     return eig, tag
 
 
-def _pt_gap(p: Point3, q: Point3) -> float:
-    return max(abs(p.x - q.x), abs(p.y - q.y), abs(p.z - q.z))
-
-
-def _min_period_3d(seed: Point3, params: Params, nmax: int, tol=1e-9):
-    q = seed
-    for k in range(1, nmax + 1):
-        q = apply_T(q, params)
-        if _pt_gap(q, seed) < tol:
-            return k
-    return None
-
-
 def _canonical_rotation_3d(pts):
     key = lambda p: (p.x, p.y, p.z)
     i0 = min(range(len(pts)), key=lambda i: key(pts[i]))
@@ -350,27 +329,70 @@ def _canonical_rotation_3d(pts):
 
 
 def cycle3d_key(pts):
-    return tuple(sorted((round(p.x, DEDUP_DECIMALS), round(p.y, DEDUP_DECIMALS),
-                         round(p.z, DEDUP_DECIMALS)) for p in pts))
+    # exact orbit-set key; kept because bench/tracing.py times it per orbit
+    return tuple(sorted(tuple(p) for p in pts))
 
 
-def _build_cycle3d(seed: Point3, params: Params, period: int, kind: str,
-                   sources) -> Cycle3D:
-    pts = orbit(seed, params, period, escape_radius=inf)
-    wrap = apply_T(pts[-1], params)
-    if _pt_gap(wrap, seed) > CLOSURE_TOL:
+def _check_source(X: Cycle1D, b: float):
+    """Raise LiftValidationFailed unless X is a cycle of minimal period
+    X.period of the scalar map at parameter b."""
+    pts, n = X.points, X.period
+    label = cycle1d_label(X)
+    if len(pts) != n:
         raise LiftValidationFailed(
-            f"seed {tuple(seed)} does not close after {period} steps "
-            f"(gap {_pt_gap(wrap, seed):.3g})")
-    for d in _proper_divisors(period):
-        if _pt_gap(pts[d], seed) < 1e-9:
+            f"source {label} lists {len(pts)} points for period {n}")
+    for k, x in enumerate(pts):
+        gap = abs(x * x + b - pts[(k + 1) % n])
+        if gap > CLOSURE_TOL:
             raise LiftValidationFailed(
-                f"seed {tuple(seed)} has period {d}, not the stated {period}")
+                f"source {label}: point {k} maps {gap:.3g} away from the next")
+    for d in _proper_divisors(n):
+        if abs(pts[d] - pts[0]) < 1e-9:
+            raise LiftValidationFailed(
+                f"source {label} has period {d}, not the stated {n}")
+
+
+def _cycle3d(pts, params: Params, kind: str, labels: tuple) -> Cycle3D:
     pts = _canonical_rotation_3d(pts)
     eig, tag = classify_stability(pts, params.b)
-    prov = Provenance(kind=kind, sources=tuple(sources), seed=seed)
-    return Cycle3D(b=params.b, period=period, points=pts, eigenvalues=eig,
+    prov = Provenance(kind=kind, sources=labels, seed=pts[0])
+    return Cycle3D(b=params.b, period=len(pts), points=pts, eigenvalues=eig,
                    stability=tag, provenance=prov)
+
+
+def _lift_orbits(sources, params: Params, period: int, kind: str) -> list:
+    """Every 3D cycle of minimal period `period` whose coordinates run
+    through all of the given scalar cycles and no others.
+
+    A state is an index triple into the sources' points laid end to end,
+    and T sends (i, j, k) to (j, k, nxt[i]), where nxt[i] is the next point
+    of i's cycle.  Every state that uses all the sources is walked, one
+    orbit at a time; T permutes the states, so each walk returns to its
+    start and no orbit is met twice.
+    """
+    for X in sources:
+        _check_source(X, params.b)
+    vals, owner, nxt = [], [], []
+    for s, X in enumerate(sources):
+        base, n = len(vals), X.period
+        vals.extend(X.points)
+        owner.extend([s] * n)
+        nxt.extend(base + (k + 1) % n for k in range(n))
+    labels = tuple(cycle1d_label(X) for X in sources)
+    out, seen = [], set()
+    for state in itertools.product(range(len(vals)), repeat=3):
+        if state in seen or len({owner[i] for i in state}) < len(sources):
+            continue
+        orb = []
+        while state not in seen:
+            seen.add(state)
+            orb.append(state)
+            i, j, k = state
+            state = (j, k, nxt[i])
+        if len(orb) == period:
+            pts = [Point3(vals[i], vals[j], vals[k]) for i, j, k in orb]
+            out.append(_cycle3d(pts, params, kind, labels))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +412,9 @@ def fixed_point_cycles_1d(params: Params):
 
 def fixed_points_T(params: Params):
     """Both fixed points of the 3D map, larger first, with stability."""
-    cp, cm = fixed_point_cycles_1d(params)
-    out = []
-    for c in (cp, cm):
-        x = c.points[0]
-        seed = Point3(x, x, x)
-        eig, tag = classify_stability((seed,), params.b)
-        prov = Provenance(kind="homogeneous", sources=(cycle1d_label(c),), seed=seed)
-        out.append(Cycle3D(b=params.b, period=1, points=(seed,),
-                           eigenvalues=eig, stability=tag, provenance=prov))
-    return tuple(out)
+    return tuple(_cycle3d((Point3(x, x, x),), params, "homogeneous",
+                          (cycle1d_label(c),))
+                 for c in fixed_point_cycles_1d(params) for x in c.points)
 
 
 # ---------------------------------------------------------------------------
@@ -408,57 +423,33 @@ def fixed_points_T(params: Params):
 
 def lift_homogeneous(X: Cycle1D, params: Params = None) -> Cycle3D:
     """The single 3D cycle of period n riding one scalar n-cycle (3 must not
-    divide n).  The seed has the smallest point first and image points of
-    the cycle in the slots the index rule dictates."""
+    divide n): with t = 3^-1 mod n, state k is (X[kt], X[(k+1)t], X[(k+2)t]),
+    as X[kt + 1] = X[(k+3)t].  Raises LiftValidationFailed unless X is a
+    minimal-period-n scalar cycle at the parameter."""
     if params is None:
         params = Params(X.b)
     n = X.period
     if n % 3 == 0:
         raise PeriodDivisibleBy3(f"period {n} is divisible by 3; use the 3n lift")
-    Y = _image_points(X)
-    if n % 3 == 1:
-        s = (n - 1) // 3
-        seed = Point3(X.points[0], Y[(2 * s) % n], Y[s % n])
-    else:
-        s = (n - 2) // 3
-        seed = Point3(X.points[0], Y[s % n], Y[(2 * s + 1) % n])
-    return _build_cycle3d(seed, params, n, "homogeneous", (cycle1d_label(X),))
+    _check_source(X, params.b)
+    t = pow(3, -1, n)
+    P = X.points
+    pts = [Point3(P[k * t % n], P[(k + 1) * t % n], P[(k + 2) * t % n])
+           for k in range(n)]
+    return _cycle3d(pts, params, "homogeneous", (cycle1d_label(X),))
 
 
 def lift_homogeneous_3n(X: Cycle1D, params: Params = None) -> list:
-    """All distinct homogeneous period-3n cycles built on one scalar n-cycle.
-
-    Two seed families indexed by (h, j); the ranges use the floor readings.
-    Seeds whose iterated orbit does not have minimal period exactly 3n are
-    dropped with a diagnostic rather than trusted.
-    """
+    """All homogeneous period-3n cycles built on one scalar n-cycle: the
+    orbits of minimal period 3n among its n^3 phase triples.  Raises
+    LiftValidationFailed unless X is a minimal-period-n scalar cycle at the
+    parameter."""
     if params is None:
         params = Params(X.b)
     n = X.period
     if n < 2:
         raise ValueError("the 3n lift needs a source cycle of period >= 2")
-    x0, Y = X.points[0], _image_points(X)
-    seeds = []
-    for h in range(1, n // 3 + 1):
-        for j in range(h, n - 2 * h + 1):
-            seeds.append(Point3(x0, Y[j - 1], Y[j + h - 1]))
-    for h in range(1, (n + 1) // 3 + 1):
-        for j in range(2 * h - 1, n - h + 1):
-            seeds.append(Point3(x0, Y[j - 1], Y[j - h]))
-    out, keys = [], set()
-    src = (cycle1d_label(X),)
-    for sd in seeds:
-        per = _min_period_3d(sd, params, 3 * n)
-        if per != 3 * n:
-            log.warning("3n lift: seed %s has period %s, not %d; dropped",
-                        tuple(sd), per, 3 * n)
-            continue
-        c = _build_cycle3d(sd, params, 3 * n, "homogeneous_3n", src)
-        k = cycle3d_key(c.points)
-        if k not in keys:
-            keys.add(k)
-            out.append(c)
-    return out
+    return _lift_orbits((X,), params, 3 * n, "homogeneous_3n")
 
 
 def _check_coexisting(cycles):
@@ -474,79 +465,27 @@ def _check_coexisting(cycles):
 
 
 def lift_mixed_pair(A: Cycle1D, B: Cycle1D, params: Params = None) -> list:
-    """All mixed cycles woven from two coexisting scalar cycles.
-
-    With n = A.period, m = B.period, s = lcm(n, m), the result has period 3s
-    and the deduplicated count must equal (n+m)*n*m/s; anything else means
-    the seed indexing broke and raises CountMismatch.  The bound d on the
-    first seed index is taken as gcd(n, m).
-    """
+    """All mixed cycles woven from two coexisting scalar cycles: with
+    n = A.period, m = B.period, s = lcm(n, m), (n+m)*n*m/s cycles of period
+    3s.  Raises LiftValidationFailed unless both are minimal-period scalar
+    cycles at the parameter."""
     _check_coexisting((A, B))
     if params is None:
         params = Params(A.b)
-    n, m = A.period, B.period
-    d = gcd(n, m)
-    s = lcm(n, m)
-    Ya, Yb = _image_points(A), _image_points(B)
-    seeds = []
-    for j in range(1, d + 1):
-        for l in range(1, n + 1):
-            seeds.append(Point3(A.points[0], Yb[j - 1], Ya[l - 1]))
-        for l in range(1, m + 1):
-            seeds.append(Point3(A.points[0], Yb[j - 1], Yb[l - 1]))
-    src = (cycle1d_label(A), cycle1d_label(B))
-    out, keys = [], set()
-    for sd in seeds:
-        per = _min_period_3d(sd, params, 3 * s)
-        if per != 3 * s:
-            log.warning("pair lift: seed %s has period %s, not %d; dropped",
-                        tuple(sd), per, 3 * s)
-            continue
-        c = _build_cycle3d(sd, params, 3 * s, "mixed_pair", src)
-        k = cycle3d_key(c.points)
-        if k not in keys:
-            keys.add(k)
-            out.append(c)
-    expected = (n + m) * n * m // s
-    if len(out) != expected:
-        raise CountMismatch(len(out), expected, f"pair periods {n},{m}")
-    return out
+    return _lift_orbits((A, B), params, 3 * lcm(A.period, B.period),
+                        "mixed_pair")
 
 
 def lift_mixed_triple(A: Cycle1D, B: Cycle1D, C: Cycle1D,
                       params: Params = None) -> list:
     """All mixed cycles woven from three pairwise-distinct coexisting scalar
-    cycles; period 3*lcm(n, m, p), count 2*n*m*p/lcm(n, m, p)."""
+    cycles; period 3*lcm(n, m, p), count 2*n*m*p/lcm(n, m, p).  Raises
+    LiftValidationFailed as lift_mixed_pair does."""
     _check_coexisting((A, B, C))
     if params is None:
         params = Params(A.b)
-    n, m, p = A.period, B.period, C.period
-    S = lcm(n, m, p)
-    d = gcd(n, m)
-    lmax = p * lcm(n, m) // S
-    Yb, Yc = _image_points(B), _image_points(C)
-    seeds = []
-    for j in range(1, d + 1):
-        for l in range(1, lmax + 1):
-            seeds.append(Point3(A.points[0], Yb[j - 1], Yc[l - 1]))
-            seeds.append(Point3(A.points[0], Yc[l - 1], Yb[j - 1]))
-    src = (cycle1d_label(A), cycle1d_label(B), cycle1d_label(C))
-    out, keys = [], set()
-    for sd in seeds:
-        per = _min_period_3d(sd, params, 3 * S)
-        if per != 3 * S:
-            log.warning("triple lift: seed %s has period %s, not %d; dropped",
-                        tuple(sd), per, 3 * S)
-            continue
-        c = _build_cycle3d(sd, params, 3 * S, "mixed_triple", src)
-        k = cycle3d_key(c.points)
-        if k not in keys:
-            keys.add(k)
-            out.append(c)
-    expected = 2 * n * m * p // S
-    if len(out) != expected:
-        raise CountMismatch(len(out), expected, f"triple periods {n},{m},{p}")
-    return out
+    return _lift_orbits((A, B, C), params,
+                        3 * lcm(A.period, B.period, C.period), "mixed_triple")
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +497,14 @@ def _divisors(n):
 
 
 def census(params: Params, period: int, interval=(-2.5, 2.5)) -> list:
-    """Every distinct 3D cycle of the given minimal period, assembled from
-    scalar cycles through the lift machinery and deduplicated.
+    """Every 3D cycle of the given minimal period, assembled from scalar
+    cycles through the lifts, sorted by first point.
 
     Periods not divisible by 3 are purely homogeneous (one cycle per scalar
     cycle of that period).  Periods 3s draw on scalar cycles of every period
     dividing s: homogeneous 3n lifts from the period-s cycles, mixed pairs
-    and triples from every coexisting combination whose lcm is s.
+    and triples from every coexisting combination whose lcm is s.  Each
+    orbit rides exactly one combination, so none is lifted twice.
     """
     if period % 3 != 0:
         return [lift_homogeneous(X, params)
@@ -573,27 +513,16 @@ def census(params: Params, period: int, interval=(-2.5, 2.5)) -> list:
     pool = []
     for dd in _divisors(s):
         pool.extend(find_cycles_1d(params, dd, interval))
-    out, keys = [], set()
-
-    def _absorb(cycles):
-        for c in cycles:
-            k = cycle3d_key(c.points)
-            if k not in keys:
-                keys.add(k)
-                out.append(c)
-
+    out = []
     if s >= 2:
         for X in pool:
             if X.period == s:
-                _absorb(lift_homogeneous_3n(X, params))
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if lcm(pool[i].period, pool[j].period) == s:
-                _absorb(lift_mixed_pair(pool[i], pool[j], params))
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            for k2 in range(j + 1, len(pool)):
-                if lcm(pool[i].period, pool[j].period, pool[k2].period) == s:
-                    _absorb(lift_mixed_triple(pool[i], pool[j], pool[k2], params))
+                out.extend(lift_homogeneous_3n(X, params))
+    for A, B in itertools.combinations(pool, 2):
+        if lcm(A.period, B.period) == s:
+            out.extend(lift_mixed_pair(A, B, params))
+    for A, B, C in itertools.combinations(pool, 3):
+        if lcm(A.period, B.period, C.period) == s:
+            out.extend(lift_mixed_triple(A, B, C, params))
     out.sort(key=lambda c: tuple(c.points[0]))
     return out

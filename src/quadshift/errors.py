@@ -34,18 +34,6 @@ class LiftValidationFailed(ToolkitError):
     pass
 
 
-class CountMismatch(ToolkitError):
-    """Deduplicated lift count differs from the closed-form count."""
-
-    def __init__(self, got, expected, detail=""):
-        self.got = got
-        self.expected = expected
-        msg = f"lift produced {got} distinct cycles, formula says {expected}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
 class NoEventInBracket(ToolkitError):
     pass
 

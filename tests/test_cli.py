@@ -95,6 +95,13 @@ def test_census_period_six():
     assert all(c["period"] == 6 for c in pay["cycles"])
 
 
+def test_census_past_the_scalar_wrap():
+    # at b = -2.1 all necklace(11) = 186 scalar 11-cycles are real
+    r = run("census", "--b", "-2.1", "--period", "11")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["counts"]["total"] == 186
+
+
 def test_flip_three_location():
     r = run("bifurcations", "--kind", "flip", "--period", "3",
             "--bracket", "-1.8,-1.75")

@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from quadshift import (Params, PeriodDivisibleBy3, Point3, apply_T, census,
+from quadshift import (Cycle1D, LiftValidationFailed, Params,
+                       PeriodDivisibleBy3, Point3, apply_T, census,
                        find_cycles_1d, lift_homogeneous, lift_homogeneous_3n,
                        lift_mixed_pair, lift_mixed_triple)
 
@@ -62,11 +63,17 @@ def match_orbit_sets(oracle_point_sets, cycles, tol=1e-9):
     """
     assert len(oracle_point_sets) == len(cycles)
     used = set()
+    xs = [sorted(p.x for p in c.points) for c in cycles]
     for pts in oracle_point_sets:
         want = [tuple(p) for p in pts]
+        wx = sorted(p[0] for p in want)
         hit = None
         for i, c in enumerate(cycles):
             if i in used or len(c.points) != len(want):
+                continue
+            # a bijection moving no point by tol or more moves no sorted
+            # x-coordinate by tol or more: a cheap test to skip most pairs
+            if max(abs(a - b) for a, b in zip(xs[i], wx)) >= tol:
                 continue
             got = [tuple(p) for p in c.points]
             if _orbit_dist(got, want) < tol:
@@ -106,7 +113,7 @@ def test_homogeneous_lift_of_two_cycle(at_minus_one):
     c = lift_homogeneous(c2, params)
     assert c.period == 2
     assert c.provenance.kind == "homogeneous"
-    # seed rule for n = 3s+2 with s=0: (X0, Y0, Z1) = (X0, X1, X0)
+    # t = 3^-1 mod 2 = 1: state 0 is (X0, X[t], X[2t]) = (X0, X1, X0)
     assert tuple(c.provenance.seed) == (-1.0, 0.0, -1.0)
     # closure re-checked independently
     p = Point3(*c.provenance.seed)
@@ -119,7 +126,8 @@ def test_homogeneous_lift_of_four_cycle(at_minus_13):
     c = lift_homogeneous(c4, params)
     assert c.period == 4
     X = c4.points
-    # seed rule for n = 3s+1 with s=1: (X0, Y[2s], Z[s]) = (X0, X3, X2)
+    # t = 3^-1 mod 4 = 3: state 0 is (X0, X[t], X[2t]) = (X0, X3, X2), and
+    # X0 is the smallest point, so the seed is the orbit's first point
     assert tuple(c.provenance.seed) == (X[0], X[3], X[2])
 
 
@@ -140,8 +148,7 @@ def test_3n_lift_count_and_orbits_n2(at_minus_one):
     lifted = lift_homogeneous_3n(c2, params)
     assert len(lifted) == 1
     assert lifted[0].period == 6
-    # seed rule, family B with h=1, j=1: (X0, Y0, Z0) = (X0, X1, X1)
-    assert tuple(lifted[0].provenance.seed) == (-1.0, 0.0, 0.0)
+    assert lifted[0].provenance.seed == lifted[0].points[0]
     # oracle: h = cyclic shift on 2 symbols; minimal-period-6 index orbits
     oracle = index_orbits(2, {0: 1, 1: 0}, 6)
     assert len(oracle) == 1
@@ -269,6 +276,27 @@ def test_sources_must_be_distinct(at_minus_one):
         lift_mixed_pair(c2, c2, params)
 
 
+LIFTS = {
+    "homogeneous": lambda bad, x2, c2, params: lift_homogeneous(bad, params),
+    "homogeneous_3n": lambda bad, x2, c2, params: lift_homogeneous_3n(bad, params),
+    "mixed_pair": lambda bad, x2, c2, params: lift_mixed_pair(bad, x2, params),
+    "mixed_triple": lambda bad, x2, c2, params:
+        lift_mixed_triple(bad, x2, c2, params),
+}
+
+
+@pytest.mark.parametrize("defect", ["moved", "repeated"])
+@pytest.mark.parametrize("kind", sorted(LIFTS))
+def test_lifts_reject_a_bad_source(at_minus_one, kind, defect):
+    # a 2-cycle with one point moved by 1e-6, and the fixed point x1 listed
+    # twice as a "2-cycle" (minimal period 1, a proper divisor of 2)
+    params, x1, x2, c2 = at_minus_one
+    pts = (-1.0, 1e-6) if defect == "moved" else x1.points * 2
+    bad = Cycle1D(b=params.b, period=2, points=pts, multiplier=0.0)
+    with pytest.raises(LiftValidationFailed, match="source n2@"):
+        LIFTS[kind](bad, x2, c2, params)
+
+
 # ---------------------------------------------------------------------------
 # census
 
@@ -313,6 +341,59 @@ def test_census_nontrivial_period_not_divisible_by_three(at_minus_13):
     found = census(params, 4)
     assert len(found) == 1
     assert found[0].provenance.kind == "homogeneous"
+
+
+@pytest.mark.parametrize("b, p", [(-1.3, 12), (-1.76, 9), (-2.0, 9),
+                                  (-2.0, 12)])
+def test_census_matches_the_index_oracle(b, p):
+    # the value table holds the scalar cycles of every period dividing p/3
+    # (or p), each point mapped to the next of its cycle
+    params = Params(b)
+    s = p // 3 if p % 3 == 0 else p
+    vals, hmap = [], {}
+    for d in range(1, s + 1):
+        if s % d == 0:
+            for X in find_cycles_1d(params, d):
+                base = len(vals)
+                vals.extend(X.points)
+                hmap.update({base + k: base + (k + 1) % d for k in range(d)})
+    oracle = index_orbits(len(vals), hmap, p)
+    found = census(params, p)
+    assert len(found) == len(oracle)
+    sets = [[tuple(vals[i] for i in trip) for trip in orb] for orb in oracle]
+    match_orbit_sets(sets, found)
+    # each cycle lists its orbit in order, lexicographically smallest first
+    for c in found:
+        assert tuple(c.points[0]) == min(tuple(q) for q in c.points)
+        for q, r in zip(c.points, c.points[1:] + c.points[:1]):
+            assert max(abs(u - v) for u, v in zip(apply_T(q, params), r)) < 1e-9
+
+
+def test_census_past_the_scalar_wrap_at_minus_two_one():
+    # one orbit per period-11 cycle, all real: necklace(11) = (2^11 - 2)/11
+    assert len(census(Params(-2.1), 11)) == 186
+
+
+@pytest.fixture(scope="module", params=[11, 13])
+def census_at_minus_two(request):
+    params = Params(-2.0)
+    p = request.param
+    return p, find_cycles_1d(params, p), census(params, p)
+
+
+def test_census_points_are_the_scalar_cycle_points(census_at_minus_two):
+    _, scalar, found = census_at_minus_two
+    assert len(found) == len(scalar)
+    values = {x.hex() for X in scalar for x in X.points}
+    assert all(v.hex() in values for c in found for q in c.points for v in q)
+
+
+def test_census_eigenvalues_at_minus_two_are_powers_of_two(census_at_minus_two):
+    # b = -2 is conjugate to the tent map, so every scalar n-cycle has
+    # multiplier +-2^n, and each homogeneous lift carries it three times
+    p, _, found = census_at_minus_two
+    assert all(abs(abs(v) - 2.0 ** p) <= 1e-9 * 2.0 ** p
+               for c in found for v in c.eigenvalues)
 
 
 def test_lifted_eigenvalues_are_scalar_multiplier_triples(at_minus_13):
