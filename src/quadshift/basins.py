@@ -2,16 +2,17 @@
 
 A catalog is built once from seed orbits: short-period limit sets are
 detected exactly by recurrence, everything else bounded is sampled into a
-point-cloud signature.  Grid cells are then iterated as three scalar
-streams, since T^3 acts on each coordinate through H(u) = u^2 + b: every
-distinct start coordinate of the batch is iterated once under H, and each
-cell's escape test and post-transient tail are read off its three streams,
-bit-equal to stepping the 3D map.  Tails are matched against the
-signatures by sup-distance nearest neighbors, and matching against an
-attractor stops at a cell's first tail sample out of tolerance.  A cell's
-label is the best-matching attractor below the match tolerance, the
-divergence label on escape, or undecided -- undecided cells get one retry
-with a larger budget before that sticks.
+point-cloud signature of consecutive states.  Grid cells are then
+iterated as three scalar streams, since T^3 acts on each coordinate
+through H(u) = u^2 + b: every distinct start coordinate of the batch is
+iterated once under H, and each cell's escape test and post-transient
+tail are read off its three streams, bit-equal to stepping the 3D map.
+Tails are matched against the signatures by sup-distance nearest
+neighbors, and matching against an attractor stops at a cell's first
+tail sample out of tolerance.  A cell's label is the best-matching
+attractor below the match tolerance, the divergence label on escape, or
+undecided -- undecided cells get one retry with a larger budget before
+that sticks.
 
 The same batch engine classifies single points, so a slice cell and a
 lone query at the same coordinates always agree.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import ESCAPE_RADIUS, Params, Point3
+from .core import Params, Point3, escape_radius
 from .errors import PaletteMissingLabel
 
 DIVERGENT = -1
@@ -32,19 +33,19 @@ UNDECIDED = -2
 
 _SWEPT = {"z": ("x", "y"), "y": ("x", "z"), "x": ("y", "z")}
 
+CYCLE_TOL = 1e-8     # a seed orbit within this of its start has closed
+CYCLE_SEARCH = 64    # recurrence horizon for exact cycle detection
+RETRY_FACTOR = 4     # undecided cells rerun transient + this * max_iter steps
+
 
 @dataclass(frozen=True)
 class BasinOptions:
     max_iter: int = 5000
     transient: int = 1000
-    escape_radius: float = ESCAPE_RADIUS
     signature_samples: int = 512
     match_tol: float = 0.05        # sup-distance from tail to signature
     merge_tol: float = 0.3         # symmetric Hausdorff estimate for catalog dedup
-    cycle_tol: float = 1e-8
-    cycle_search: int = 64         # recurrence horizon for exact cycle detection
     tail_samples: int = 16
-    retry_factor: int = 4
 
     def __post_init__(self):
         # an empty tail would match every attractor at distance 0
@@ -57,8 +58,6 @@ class BasinOptions:
         if self.max_iter + self.transient < 1:
             raise ValueError("max_iter + transient must be >= 1, got "
                              f"{self.max_iter} + {self.transient}")
-        if self.retry_factor < 1:    # keeps the retry's budget >= the first's
-            raise ValueError(f"retry_factor must be >= 1, got {self.retry_factor}")
 
 
 @dataclass(frozen=True)
@@ -207,16 +206,16 @@ def _match_tails(tails, bounded, attractors, match_tol):
 
 
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
+    R = escape_radius(b)
     n_steps = options.transient + options.max_iter
-    escaped, tails = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples,
-                             options.escape_radius)
+    escaped, tails = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples, R)
     labels = _match_tails(tails, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
     retry = np.nonzero(labels == UNDECIDED)[0]
     if retry.size:
-        n_long = options.transient + options.retry_factor * options.max_iter
+        n_long = options.transient + RETRY_FACTOR * options.max_iter
         esc2, tails2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
-                               options.tail_samples, options.escape_radius)
+                               options.tail_samples, R)
         sub = _match_tails(tails2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
         labels[retry] = sub
@@ -230,32 +229,31 @@ def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
 def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
     """(kind, period, signature) of the seed's limit set, or None on escape."""
     b = params.b
-    R = options.escape_radius
+    R = escape_radius(b)
     x, y, z = seed.x, seed.y, seed.z
     for _ in range(options.transient):
         if abs(x) > R or abs(y) > R or abs(z) > R:
             return None
         x, y, z = y, z, x * x + b
     probe = [(x, y, z)]
-    for _ in range(options.cycle_search):
+    for _ in range(CYCLE_SEARCH):
         if abs(x) > R or abs(y) > R or abs(z) > R:
             return None
         x, y, z = y, z, x * x + b
         probe.append((x, y, z))
     p0 = probe[0]
-    for k in range(1, options.cycle_search + 1):
+    for k in range(1, CYCLE_SEARCH + 1):
         if max(abs(probe[k][0] - p0[0]), abs(probe[k][1] - p0[1]),
-               abs(probe[k][2] - p0[2])) < options.cycle_tol:
+               abs(probe[k][2] - p0[2])) < CYCLE_TOL:
             pts = probe[:k]
             kind = "fixed_point" if k == 1 else "cycle"
             return kind, k, np.array(pts)
-    sig = probe[: options.cycle_search]
-    while len(sig) < options.signature_samples:
+    while len(probe) < options.signature_samples:   # on from probe[-1]
         if abs(x) > R or abs(y) > R or abs(z) > R:
             return None
         x, y, z = y, z, x * x + b
-        sig.append((x, y, z))
-    return "chaotic", None, np.array(sig[: options.signature_samples])
+        probe.append((x, y, z))
+    return "chaotic", None, np.array(probe[: options.signature_samples])
 
 
 def _hausdorff_sup(A, B):

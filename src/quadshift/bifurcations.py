@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ESCAPE_RADIUS, Params, Point3, h1d_n
+from .core import Params, Point3, escape_radius, h1d_n
 from .cycles import _newton_1d, _orbit_1d, _sorted_multiplier, find_cycles_1d
 from .errors import BranchLost, NoEventInBracket, Overflow
 
@@ -255,30 +255,18 @@ def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
 
 
 def find_transcritical(b_bracket) -> BifurcationEvent:
-    """Parameter where the two fixed-point branches collide at multiplier +1."""
+    """Parameter where the two fixed-point branches collide at multiplier +1.
+
+    The fixed points 1/2 +- sqrt(1/4 - b) are real iff b <= 1/4 and meet
+    at x = 1/2 there, so the event is exact: b* = 1/4, x* = 1/2."""
     lo, hi = b_bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-
-    def two_fixed(b):
-        return 1.0 - 4.0 * b > 0.0
-
-    e_lo, e_hi = two_fixed(lo), two_fixed(hi)
-    if e_lo == e_hi:
+    if not lo < 0.25 <= hi:
         raise NoEventInBracket(
             f"fixed-point branches do not collide inside {b_bracket}")
-    while hi - lo > EVENT_B_WIDTH:
-        m = 0.5 * (lo + hi)
-        if two_fixed(m) == e_lo:
-            lo = m
-        else:
-            hi = m
-    b_star = 0.5 * (lo + hi)
-    b_have = lo if e_lo else hi
-    disc = max(1.0 - 4.0 * b_have, 0.0) ** 0.5
-    x_star = 0.5 * ((0.5 + 0.5 * disc) + (0.5 - 0.5 * disc))
-    return BifurcationEvent(kind="transcritical", period=1, b_star=b_star,
-                            x_star=x_star)
+    return BifurcationEvent(kind="transcritical", period=1, b_star=0.25,
+                            x_star=0.5)
 
 
 def event_residuals(ev: BifurcationEvent):
@@ -333,14 +321,13 @@ def multiplier_curve(n, b_range, steps, interval=(-2.5, 2.5)) -> list:
 
 
 def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
-                        transient=1000, samples=200,
-                        escape_radius=ESCAPE_RADIUS) -> DiagramDataset:
+                        transient=1000, samples=200) -> DiagramDataset:
     """Post-transient x-samples of one orbit per parameter; divergent
     parameters carry samples=None instead of killing the sweep.
 
     All parameters are iterated at once, as arrays of the three
     coordinates.  A parameter's row drops out as soon as its state leaves
-    the escape ball, the test `orbit` applies, so every row holds exactly
+    its escape ball, the test `orbit` applies, so every row holds exactly
     the x-samples `orbit(p0, Params(b), samples, transient)` records.
     One step (steps=1) samples a single parameter, b_lo == b_hi.
     """
@@ -355,7 +342,7 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
     x = np.full(steps, p0.x)
     y = np.full(steps, p0.y)
     z = np.full(steps, p0.z)
-    R = escape_radius
+    R = np.array([escape_radius(bv) for bv in bs])
     bounded = np.ones(steps, dtype=bool)
     xs = np.empty((steps, samples))
     with np.errstate(over="ignore", invalid="ignore"):

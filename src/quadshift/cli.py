@@ -108,10 +108,6 @@ def _sorted_cycles3d(found):
                                         c.points[0].y, c.points[0].z))
 
 
-def _c1key(c):
-    return (c.period, tuple(round(x, 12) for x in sorted(c.points)))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -163,13 +159,16 @@ def _cmd_lift(args):
         for A, B in combos:
             found.extend(cycles.lift_mixed_pair(A, B, params))
     else:
+        # a source is (period, index in its find_cycles_1d list)
         seen = set()
-        for trio in itertools.product(*(by_p[n] for n in periods)):
-            keys = frozenset(_c1key(c) for c in trio)
-            if len(keys) < 3 or keys in seen:
+        for trio in itertools.product(*([(n, i) for i in range(len(by_p[n]))]
+                                        for n in periods)):
+            key = frozenset(trio)
+            if len(key) < 3 or key in seen:
                 continue
-            seen.add(keys)
-            found.extend(cycles.lift_mixed_triple(*trio, params=params))
+            seen.add(key)
+            found.extend(cycles.lift_mixed_triple(
+                *(by_p[n][i] for n, i in trio), params=params))
     found = _sorted_cycles3d(found)
     _deliver(serialize.dumps_17g(_cycles3d_payload(args.b, cfg, found)),
              args.out)
@@ -288,8 +287,7 @@ def _cmd_basin(args):
            "res": list(args.res), "max_iter": args.max_iter,
            "transient": args.transient,
            "signature_samples": args.signature_samples,
-           "match_tol": args.match_tol, "merge_tol": args.merge_tol,
-           "threads": args.threads}
+           "match_tol": args.match_tol, "merge_tol": args.merge_tol}
     _echo(cfg)
     params = Params(args.b)
     spec = basins.SliceSpec(fixed_axis=axis, fixed_value=value,
@@ -304,8 +302,7 @@ def _cmd_basin(args):
     seeds = ([Point3(*t) for t in args.seeds] if args.seeds
              else basins.default_seeds())
     catalog = basins.build_catalog(params, seeds, opts)
-    grid = basins.basin_slice(params, spec, catalog, opts,
-                              threads=args.threads)
+    grid = basins.basin_slice(params, spec, catalog, opts)
     serialize.save_text(args.out, serialize.basin_csv(grid))
     meta = serialize.basin_sidecar(grid)
     meta["seeds"] = [[s.x, s.y, s.z] for s in seeds]
@@ -352,8 +349,6 @@ def build_parser() -> _Parser:
                                  "(x,y,z) -> (y,z,x^2+b).")
     parser.add_argument("--version", action="version",
                         version=f"quadshift {VERSION}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap internal parallelism (used by basin)")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
                                 required=True)
 

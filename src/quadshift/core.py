@@ -4,6 +4,10 @@ One step sends (x, y, z) to (y, z, x^2 + b).  Three steps act on each
 coordinate independently through the same scalar return map x -> x^2 + b,
 so a 3D orbit is just three interleaved scalar orbits.  Every other
 module in the package leans on that.
+
+Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
+coordinate grows without bound, so orbits, spectra, diagrams and basins
+all test escape against one radius per parameter, `escape_radius(b)`.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ import numpy as np
 
 from .errors import Diverged, Overflow
 
-# |coord| beyond this grows monotonically under x -> x^2 + b for the
-# parameter range we care about (b >= -2); 4 leaves margin.
+# |x| > R grows monotonically under x -> x^2 + b iff R >= beta(b), and
+# beta(b) <= 4 exactly for b >= -12; outputs keep this radius there.
 ESCAPE_RADIUS = 4.0
 
 # A 3x3 Jacobian; row-major numpy array, entries finite.
@@ -47,6 +51,20 @@ class Point3:
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
+
+
+def escape_radius(b: float) -> float:
+    """The escape radius at parameter b: max(ESCAPE_RADIUS, beta(b)).
+
+    beta is the larger fixed point bit for bit as floats give it (0.5 +
+    sqrt(0.25 - b) equals 0.5 + 0.5*sqrt(1 - 4b), and never overflows), so
+    (beta, beta, beta) lies inside the ball even when rounding puts it
+    above the exact beta.  Without fixed points (b > 1/4) every orbit
+    escapes and ESCAPE_RADIUS stands.
+    """
+    if b > 0.25:
+        return ESCAPE_RADIUS
+    return max(ESCAPE_RADIUS, 0.5 + math.sqrt(0.25 - b))
 
 
 def as_point(seq) -> Point3:
@@ -92,8 +110,8 @@ def jacobian_T(p: Point3) -> Mat3:
     ])
 
 
-def orbit(p0: Point3, params: Params, n: int, transient: int = 0,
-          escape_radius: float = ESCAPE_RADIUS) -> list[Point3]:
+def orbit(p0: Point3, params: Params, n: int,
+          transient: int = 0) -> list[Point3]:
     """Iterate `transient` steps unrecorded, then record n consecutive states.
 
     Raises Diverged with the absolute step index as soon as a state leaves
@@ -101,14 +119,15 @@ def orbit(p0: Point3, params: Params, n: int, transient: int = 0,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    R = escape_radius(params.b)
     p = p0
     for k in range(transient):
-        if p.max_abs() > escape_radius:
+        if p.max_abs() > R:
             raise Diverged(k, p)
         p = apply_T(p, params)
     out = []
     for k in range(n):
-        if p.max_abs() > escape_radius:
+        if p.max_abs() > R:
             raise Diverged(transient + k, p)
         out.append(p)
         p = apply_T(p, params)

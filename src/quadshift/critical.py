@@ -75,27 +75,27 @@ def plane_image(plane: AxisPlane, params: Params) -> AxisPlane:
                      index=plane.index + 1)
 
 
-def zone_of(p: Point3, params: Params, tie_tol: float = TIE_TOL) -> str:
+def zone_of(p: Point3, params: Params) -> str:
     """"Z2" if z - b > 0 (two preimages), "Z0" if < 0, "on_PC0" at the fold."""
     d = p.z - params.b
-    if abs(d) <= tie_tol:
+    if abs(d) <= TIE_TOL:
         return "on_PC0"
     return "Z2" if d > 0.0 else "Z0"
 
 
-def region_of(p: Point3, tie_tol: float = TIE_TOL) -> str:
-    if abs(p.x) <= tie_tol:
+def region_of(p: Point3) -> str:
+    if abs(p.x) <= TIE_TOL:
         return "on_PC_minus1"
     return "R1" if p.x > 0.0 else "R2"
 
 
-def preimages(p: Point3, params: Params, tie_tol: float = TIE_TOL) -> list:
+def preimages(p: Point3, params: Params) -> list:
     """The rank-one preimages of p: two in Z2 (one per half-space), one
     merged preimage on the fold plane, none in Z0."""
     d = p.z - params.b
-    if abs(d) <= tie_tol:
+    if abs(d) <= TIE_TOL:
         q = Point3(0.0, p.x, p.y)
-        return [Preimage(point=q, region=region_of(q, tie_tol))]
+        return [Preimage(point=q, region=region_of(q))]
     if d < 0.0:
         return []
     r = sqrt(d)
@@ -105,8 +105,7 @@ def preimages(p: Point3, params: Params, tie_tol: float = TIE_TOL) -> list:
 
 
 def attractor_bounds_report(orbit_points, params: Params,
-                            k_max: int = K_MAX_DEFAULT,
-                            tie_tol: float = TIE_TOL) -> list:
+                            k_max: int = K_MAX_DEFAULT) -> list:
     """Per-plane side statistics of an orbit against the planes up to k_max:
     the empirical evidence for how the planes sandwich an attractor."""
     pts = list(orbit_points)
@@ -116,8 +115,8 @@ def attractor_bounds_report(orbit_points, params: Params,
     for k in range(-1, k_max + 1):
         plane = critical_plane(k, params)
         ds = [plane.side_of(p) for p in pts]
-        neg = sum(1 for d in ds if d < -tie_tol)
-        on = sum(1 for d in ds if abs(d) <= tie_tol)
+        neg = sum(1 for d in ds if d < -TIE_TOL)
+        on = sum(1 for d in ds if abs(d) <= TIE_TOL)
         out.append(PlaneSideStats(plane=plane,
                                   frac_neg=neg / len(ds),
                                   frac_on=on / len(ds),

@@ -23,7 +23,7 @@ from .core import Params, Point3, h1d_n
 from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
-CLOSURE_TOL = 1e-10     # each source point must map to the next this tightly
+CLOSURE_TOL = 1e-10     # a source point x maps within this * max(1, x^2) of the next
 DEGENERATE_TOL = 1e-7   # distinct cycles closer than this get flagged, not merged
 ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
 
@@ -297,7 +297,7 @@ def stability_block_length(period: int) -> int:
     return period if period % 3 == 0 else 3 * period
 
 
-def classify_stability(points, b, tol: float = STABILITY_TOL):
+def classify_stability(points, b):
     """Eigenvalue triple and stability tag of a 3D cycle.
 
     The Jacobian product is taken over the cycle's period when that is a
@@ -313,7 +313,7 @@ def classify_stability(points, b, tol: float = STABILITY_TOL):
         eig[k % 3] *= 2.0 * pts[k % P].x
     eig = tuple(sorted((v + 0.0 for v in eig), reverse=True))
     mags = [abs(v) for v in eig]
-    if any(abs(m - 1.0) <= tol for m in mags):
+    if any(abs(m - 1.0) <= STABILITY_TOL for m in mags):
         tag = "nonhyperbolic"
     elif all(m < 1.0 for m in mags):
         tag = "stable"
@@ -343,7 +343,7 @@ def _check_source(X: Cycle1D, b: float):
             f"source {label} lists {len(pts)} points for period {n}")
     for k, x in enumerate(pts):
         gap = abs(x * x + b - pts[(k + 1) % n])
-        if gap > CLOSURE_TOL:
+        if gap > CLOSURE_TOL * max(1.0, x * x):
             raise LiftValidationFailed(
                 f"source {label}: point {k} maps {gap:.3g} away from the next")
     for d in _proper_divisors(n):

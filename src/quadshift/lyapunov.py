@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log
 
-from .core import ESCAPE_RADIUS, Params, Point3
+from .core import Params, Point3, escape_radius
 from .errors import Diverged
 
 LOG_FLOOR = 1e-300
@@ -35,8 +35,7 @@ class Exponent1D:
 
 
 def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
-                      transient: int = 10**4,
-                      escape_radius: float = ESCAPE_RADIUS) -> LyapunovResult:
+                      transient: int = 10**4) -> LyapunovResult:
     """Per-stream averages of log|2x| along one orbit, descending.
 
     Step k adds log|2x_k| to stream k mod 3; every stream sum is divided
@@ -45,7 +44,7 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     b = params.b
-    R = escape_radius
+    R = escape_radius(b)
     x, y, z = p0.x, p0.y, p0.z
     for k in range(transient):
         if abs(x) > R or abs(y) > R or abs(z) > R:
@@ -65,13 +64,12 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
 
 
 def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
-                transient: int = 10**4,
-                escape_radius: float = ESCAPE_RADIUS) -> Exponent1D:
+                transient: int = 10**4) -> Exponent1D:
     """Average of log|2x| along the scalar orbit; floored on critical hits."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     b = params.b
-    R = escape_radius
+    R = escape_radius(b)
     x = x0
     for k in range(transient):
         if abs(x) > R:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 
-from .basins import DIVERGENT, UNDECIDED, BasinGrid
+from .basins import DIVERGENT, RETRY_FACTOR, UNDECIDED, BasinGrid
+from .core import escape_radius
+
+INDENT = "  "    # per JSON nesting level
 
 
 def fmt(v: float) -> str:
@@ -21,16 +24,16 @@ def fmt(v: float) -> str:
 # JSON
 
 
-def dumps_17g(obj, indent: int = 2) -> str:
+def dumps_17g(obj) -> str:
     out = []
-    _emit(obj, out, 0, indent)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out, level, indent):
-    pad = " " * (indent * (level + 1))
-    end = " " * (indent * level)
+def _emit(obj, out, level):
+    pad = INDENT * (level + 1)
+    end = INDENT * level
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -38,7 +41,7 @@ def _emit(obj, out, level, indent):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, out, level + 1, indent)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end + "}")
     elif isinstance(obj, (list, tuple)):
@@ -52,7 +55,7 @@ def _emit(obj, out, level, indent):
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad)
-            _emit(v, out, level + 1, indent)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(end + "]")
     elif isinstance(obj, bool):
@@ -174,12 +177,12 @@ def basin_sidecar(grid: BasinGrid) -> dict:
         "options": {
             "max_iter": opts.max_iter,
             "transient": opts.transient,
-            "escape_radius": opts.escape_radius,
+            "escape_radius": escape_radius(grid.b),
             "signature_samples": opts.signature_samples,
             "match_tol": opts.match_tol,
             "merge_tol": opts.merge_tol,
             "tail_samples": opts.tail_samples,
-            "retry_factor": opts.retry_factor,
+            "retry_factor": RETRY_FACTOR,
         },
         "labels": {
             "divergent": DIVERGENT,

@@ -118,6 +118,29 @@ def test_classify_divergent_point():
     assert classify_point(Point3(5.0, 5.0, 5.0), params, cat) == DIVERGENT
 
 
+def test_classify_the_fixed_point_beyond_radius_four():
+    params = Params(-20.0)
+    fixed = Point3(5.0, 5.0, 5.0)       # beta(-20) = 5, exact in floats
+    cat = build_catalog(params, seeds=[fixed])
+    assert [a.kind for a in cat] == ["fixed_point"]
+    assert classify_point(fixed, params, cat) == 0
+
+
+def test_chaotic_signature_rows_are_consecutive_states():
+    checked = 0
+    for b in (-1.864, -2.0):
+        for att in build_catalog(Params(b)):
+            if att.kind != "chaotic":
+                continue
+            checked += 1
+            sig = att.signature
+            assert len(sig) == BasinOptions().signature_samples
+            x, y, z = sig[:-1].T
+            step = np.stack((y, z, x * x + b), axis=1)
+            assert np.array_equal(step.view(np.int64), sig[1:].view(np.int64))
+    assert checked
+
+
 def test_classify_unmatched_is_undecided():
     # empty catalog: bounded orbits can never match and stay UNDECIDED
     params = Params(-0.4)
@@ -354,7 +377,6 @@ def test_slice_labels_match_the_reference_kernels(monkeypatch, fixed_axis):
     ({"max_iter": -1}, "max_iter"),
     ({"transient": -1}, "transient"),
     ({"max_iter": 0, "transient": 0}, "max_iter + transient"),
-    ({"retry_factor": 0, "transient": 0}, "retry_factor"),
 ])
 def test_options_reject_empty_tails(kwargs, field):
     with pytest.raises(ValueError, match=field.replace("+", r"\+")):

@@ -68,6 +68,15 @@ def test_transcritical_exchange():
     assert abs(ev.x_star - 0.5) <= 1e-9
 
 
+def test_transcritical_is_exact():
+    for bracket in ((0.2, 0.3), (0.0, 0.25), (-1.0, 7.0)):
+        ev = find_transcritical(bracket)
+        assert (ev.b_star, ev.x_star) == (0.25, 0.5)
+        assert event_residuals(ev) == (0.0, 0.0)
+    with pytest.raises(NoEventInBracket):
+        find_transcritical((0.25, 0.3))
+
+
 # ---------------------------------------------------------------------------
 # events pinned against frozen values
 
@@ -224,6 +233,11 @@ def test_diagram_rows_are_the_orbit_samples():
         if want is not None:
             assert [v.hex() for v in row.samples] == [v.hex() for v in want]
     assert kinds == {True, False}
+
+
+def test_diagram_holds_the_fixed_point_beyond_radius_four():
+    d = bifurcation_diagram((-20.0, -20.0), 1, p0=Point3(5.0, 5.0, 5.0))
+    assert d.rows[0].samples == (5.0,) * 200
 
 
 def test_diagram_divergent_row():

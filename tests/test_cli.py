@@ -3,6 +3,8 @@
 Everything here goes through `python -m quadshift` so the argv plumbing,
 not just the command functions, is on the hook.
 """
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from quadshift import BasinOptions
+from quadshift.cli import build_parser
 
 CMD = [sys.executable, "-m", "quadshift"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -191,6 +196,16 @@ def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
     assert r.returncode == 1
     assert field in r.stderr
     assert not csv.exists()
+
+
+def test_basin_options_are_exactly_the_basin_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["basin"]._actions}
+    not_options = {"help", "b", "slice", "u_range", "v_range", "res", "seeds",
+                   "out", "ppm"}
+    assert {f.name for f in dataclasses.fields(BasinOptions)} == \
+        flags - not_options
 
 
 def test_diagram_csv_shape(tmp_path):

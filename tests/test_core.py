@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadshift import (Diverged, Overflow, Params, Point3, apply_T, as_point,
+from quadshift import (ESCAPE_RADIUS, Diverged, Overflow, Params, Point3,
+                       apply_T, as_point, escape_radius, fixed_point_cycles_1d,
                        h1d, h1d_n, jacobian_T, orbit)
 
 
@@ -84,6 +85,22 @@ def test_orbit_reports_absolute_divergence_step():
     with pytest.raises(Diverged) as exc:
         orbit(Point3(9.0, 0.0, 0.0), Params(-1.0), 5)
     assert exc.value.step == 0          # the start itself is already out
+
+
+def test_escape_radius_is_four_down_to_minus_twelve_then_beta():
+    for b in np.linspace(-12.0, 10.0, 2201):
+        assert escape_radius(float(b)) == ESCAPE_RADIUS
+    assert escape_radius(-20.0) == 5.0
+    for b in (-12.5, -20.0, -1e3, -1e8, -1e300):
+        x_fixed = fixed_point_cycles_1d(Params(b))[0].points[0]
+        assert escape_radius(b) == x_fixed > ESCAPE_RADIUS
+    assert np.isfinite(escape_radius(-1.7e308))     # 1 - 4b would overflow
+
+
+def test_orbit_holds_the_fixed_point_beyond_radius_four():
+    # beta(-20) = 5 exactly and 5^2 - 20 = 5 in floats
+    pts = orbit(Point3(5.0, 5.0, 5.0), Params(-20.0), 1000)
+    assert set(pts) == {Point3(5.0, 5.0, 5.0)}
 
 
 def test_overflow_on_nonfinite_image():

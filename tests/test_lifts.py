@@ -13,7 +13,8 @@ import pytest
 
 from quadshift import (Cycle1D, LiftValidationFailed, Params,
                        PeriodDivisibleBy3, Point3, apply_T, census,
-                       find_cycles_1d, lift_homogeneous, lift_homogeneous_3n,
+                       find_cycles_1d, fixed_point_cycles_1d,
+                       lift_homogeneous, lift_homogeneous_3n,
                        lift_mixed_pair, lift_mixed_triple)
 
 
@@ -295,6 +296,13 @@ def test_lifts_reject_a_bad_source(at_minus_one, kind, defect):
     bad = Cycle1D(b=params.b, period=2, points=pts, multiplier=0.0)
     with pytest.raises(LiftValidationFailed, match="source n2@"):
         LIFTS[kind](bad, x2, c2, params)
+
+
+def test_lifts_accept_a_large_fixed_point():
+    # x^2 + b rounds to ~1e-8 at |x| = 1e4; closure is judged relative to x^2
+    x_fixed = fixed_point_cycles_1d(Params(-1e8))[0]
+    c = lift_homogeneous(x_fixed)
+    assert c.points == (Point3(*x_fixed.points * 3),)
 
 
 # ---------------------------------------------------------------------------

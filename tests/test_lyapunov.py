@@ -110,6 +110,15 @@ def test_scalar_exponent_without_critical_hit():
     assert abs(r.value - math.log(abs(2.0 * x2))) < 1e-6
 
 
+def test_spectrum_on_the_fixed_point_beyond_radius_four():
+    # beta(-20) = 5 is an exact float fixed point; every step stretches by 10
+    r = lyapunov_spectrum(Point3(5.0, 5.0, 5.0), Params(-20.0), n_iter=3000)
+    for e in r.exponents:
+        assert abs(e - math.log(10.0) / 3) <= 1e-12
+    e1 = lyapunov_1d(5.0, Params(-20.0), n_iter=3000).value
+    assert abs(e1 - math.log(10.0)) <= 1e-12
+
+
 def test_spectrum_raises_on_divergence():
     with pytest.raises(Diverged):
         lyapunov_spectrum(Point3(9.0, 9.0, 9.0), Params(1.0), n_iter=100)
