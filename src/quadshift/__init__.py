@@ -8,9 +8,9 @@ modules here exploit that structure throughout.
 """
 from .core import (ESCAPE_RADIUS, Params, Point3, apply_T, apply_T_n,
                    as_point, escape_radius, h1d, h1d_n, jacobian_T, orbit)
-from .errors import (BranchLost, Diverged, LiftValidationFailed,
-                     NoEventInBracket, NoRealFixedPoints, Overflow,
-                     PaletteMissingLabel, PeriodDivisibleBy3, ToolkitError)
+from .errors import (Diverged, LiftValidationFailed, NoEventInBracket,
+                     NoRealFixedPoints, Overflow, PaletteMissingLabel,
+                     PeriodDivisibleBy3, ToolkitError)
 from .cycles import (Cycle1D, Cycle3D, Provenance, census,
                      classify_stability, cycle1d_label, find_cycles_1d,
                      fixed_point_cycles_1d, fixed_points_T, lift_homogeneous,

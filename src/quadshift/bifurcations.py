@@ -1,12 +1,14 @@
 """Locating fold / flip / transcritical events and sweeping diagrams.
 
-Flips are found by bisection on the multiplier along a continued cycle
-branch; a single Newton jump across a wide parameter step can silently hop
-onto a lower-period root of the iterated map, so continuation always moves
-in small substeps with minimality and jump guards.  Generic folds get a
-tangency polish (2D Newton on residual and slope, analytic derivatives);
-a cycle born with count step 1 is a doubling birth and is pinned through
-its parent branch instead, where the tangency system is singular.
+A fold or flip of a period-n cycle of H(u) = u^2 + b is a point (x, b)
+where x lies on a minimal period-n cycle whose multiplier (H^n)'(x) is +1
+or -1: two regular equations in the two unknowns.  Both locators solve
+them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) with analytic
+derivatives, started from the cycles found at the bracket ends.  A start
+counts only if it lands inside the bracket on a minimal period-n cycle
+with the target multiplier.  A cycle born with count step 1 is a doubling
+birth, where the tangency system is singular; it is located as the flip
+of its period-n/2 parent, whose multiplier crosses -1 at the same b.
 """
 from __future__ import annotations
 
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, Point3, escape_radius, h1d_n
-from .cycles import _newton_1d, _orbit_1d, _sorted_multiplier, find_cycles_1d
-from .errors import BranchLost, NoEventInBracket, Overflow
+from .cycles import _orbit_1d, _sorted_multiplier, find_cycles_1d
+from .errors import NoEventInBracket, Overflow
 
-COUNT_BISECT_WIDTH = 1e-4   # switch from count bisection to polishing here
-EVENT_B_WIDTH = 1e-12       # final parameter bracket width
-JUMP_GUARD = 0.2            # max allowed point motion per continuation step
+JUMP_GUARD = 0.2            # max point motion between sweep steps of a branch
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class DiagramDataset:
 
 
 # ---------------------------------------------------------------------------
-# branch continuation machinery
+# folds and flips
 
 
 def _is_minimal(x, b, n, tol=1e-8):
@@ -70,97 +70,8 @@ def _multiplier_at(x, b, n):
     return _sorted_multiplier(_orbit_1d(x, b, n))
 
 
-def _continue_to(x, b_from, b_to, n, substeps=64):
-    """Walk a cycle point from one parameter to another in small steps."""
-    for k in range(1, substeps + 1):
-        bb = b_from + (b_to - b_from) * k / substeps
-        xn = _newton_1d(x, Params(bb), n)
-        if not _is_minimal(xn, bb, n) or abs(xn - x) > JUMP_GUARD:
-            raise BranchLost(
-                f"period-{n} branch lost near b={bb} (x {x:.6g} -> {xn:.6g})")
-        x = xn
-    return x
-
-
-def _flip_core(n, b_bracket, interval=(-2.5, 2.5)):
-    """Bisect sign(multiplier + 1) along the period-n branch in the bracket.
-
-    Both bracket ends are tried as the tracking base: an end sitting right
-    on the fold that births the cycle pair has only the tangent orbit, and
-    branches tracked from it may all stay on the multiplier>1 side.
-
-    Returns (b_star, orbit points at b_star)."""
-    lo, hi = b_bracket
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-    chosen = None
-    any_cycles = False
-    all_lost = True
-    for base, other in ((hi, lo), (lo, hi)):
-        cycles = find_cycles_1d(Params(base), n, interval)
-        if not cycles:
-            continue
-        any_cycles = True
-        for c in cycles:
-            lam_base = c.multiplier
-            try:
-                x_other = _continue_to(c.points[0], base, other, n)
-            except BranchLost:
-                continue
-            all_lost = False
-            lam_other = _multiplier_at(x_other, other, n)
-            if (lam_base + 1.0) * (lam_other + 1.0) < 0.0:
-                chosen = (base, other, c.points[0], x_other)
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
-        if not any_cycles:
-            raise NoEventInBracket(
-                f"no period-{n} cycle at either bracket end {b_bracket}")
-        if all_lost:
-            raise BranchLost(f"every period-{n} branch was lost in {b_bracket}")
-        raise NoEventInBracket(
-            f"no period-{n} multiplier crosses -1 inside {b_bracket}")
-    base, other, x_base, x_other = chosen
-    # Keep one tracked point on the branch and move it continuously from
-    # midpoint to midpoint.  It starts at the multiplier<-1 end: that end is
-    # always strictly inside the branch's existence window (at a fold the
-    # multiplier is +1), whereas re-stepping from a tangent endpoint can hop
-    # to the sibling branch and corrupt the sign test.
-    if _multiplier_at(x_base, base, n) + 1.0 < 0.0:
-        b_ref, x_ref = base, x_base
-    else:
-        b_ref, x_ref = other, x_other
-    b_lo, b_hi = min(base, other), max(base, other)
-    s_lo = -1.0 if b_ref == b_lo else 1.0
-    while b_hi - b_lo > EVENT_B_WIDTH:
-        bm = 0.5 * (b_lo + b_hi)
-        xm = _continue_to(x_ref, b_ref, bm, n, substeps=16)
-        sm = 1.0 if (_multiplier_at(xm, bm, n) + 1.0) > 0 else -1.0
-        b_ref, x_ref = bm, xm
-        if sm == s_lo:
-            b_lo = bm
-        else:
-            b_hi = bm
-    b_star = 0.5 * (b_lo + b_hi)
-    x_star = _newton_1d(x_ref, Params(b_star), n)
-    return b_star, _orbit_1d(x_star, b_star, n)
-
-
-def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
-    """Parameter where the period-n multiplier crosses -1 inside the bracket."""
-    b_star, pts = _flip_core(n, b_bracket, interval)
-    return BifurcationEvent(kind="flip", period=n, b_star=b_star,
-                            x_star=min(pts))
-
-
-# ---------------------------------------------------------------------------
-# folds
-
-
-def _tangency_polish(x, b, n, iters=60):
-    """2D Newton on (H^n(x) - x, (H^n)'(x) - 1) with analytic derivatives."""
+def _event_polish(x, b, n, target, iters=60):
+    """2D Newton on (H^n(x) - x, (H^n)'(x) - target) with analytic derivatives."""
     for _ in range(iters):
         v = x
         dvx, dvb = 1.0, 0.0      # d v / dx, d v / db
@@ -172,7 +83,7 @@ def _tangency_polish(x, b, n, iters=60):
             dvb = 2.0 * v * dvb + 1.0
             v = v * v + b
         f1 = v - x
-        f2 = dvx - 1.0
+        f2 = dvx - target
         j11 = dvx - 1.0
         j12 = dvb
         j21 = dxx
@@ -189,69 +100,66 @@ def _tangency_polish(x, b, n, iters=60):
     return x, b
 
 
-def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
-    """Parameter where a period-n cycle is born inside the bracket.
+def _first_event(kind, n, starts, target, b_bracket):
+    """Polish each (cycle, b) start toward the target multiplier, nearest
+    multiplier first; the first landing inside the bracket on a minimal
+    period-n cycle with that multiplier is the event (None if none does)."""
+    lo, hi = b_bracket
+    for cy, b0 in sorted(starts, key=lambda s: abs(s[0].multiplier - target)):
+        x, b = _event_polish(cy.points[0], b0, n, target)
+        if (lo <= b <= hi and _is_minimal(x, b, n)
+                and abs(_multiplier_at(x, b, n) - target) <= 1e-7):
+            return BifurcationEvent(kind=kind, period=n, b_star=b,
+                                    x_star=min(_orbit_1d(x, b, n)))
+    return None
 
-    Bisection on the cycle count narrows the bracket; a count step of two
-    is a genuine tangency and gets the 2D Newton polish, a step of one is a
-    period-doubling birth and is located through the parent branch (whose
-    multiplier crosses -1 at the same parameter).
-    """
+
+def _cycles_at_ends(n, b_bracket, interval):
     lo, hi = b_bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    return [find_cycles_1d(Params(b), n, interval) for b in (lo, hi)]
 
-    def count(b):
-        return len(find_cycles_1d(Params(b), n, interval))
 
-    c_lo, c_hi = count(lo), count(hi)
+def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
+    """Parameter where a period-n multiplier crosses -1 inside the bracket;
+    every cycle found at either end is a start for the polish."""
+    ends = _cycles_at_ends(n, b_bracket, interval)
+    starts = [(cy, b) for b, cycles in zip(b_bracket, ends) for cy in cycles]
+    ev = _first_event("flip", n, starts, -1.0, b_bracket)
+    if ev is None:
+        raise NoEventInBracket(
+            f"no period-{n} multiplier reaches -1 inside {b_bracket}")
+    return ev
+
+
+def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
+    """Parameter where a period-n cycle is born inside the bracket.
+
+    A count step of two or more is a tangency: the richer end's cycles are
+    polished toward multiplier +1.  At even n, a step of one, or a step
+    no polish resolves inside the bracket, is a period-doubling birth,
+    located as the flip of the period-n/2 parent branch.
+    """
+    ends = _cycles_at_ends(n, b_bracket, interval)
+    c_lo, c_hi = (len(cycles) for cycles in ends)
     if c_lo == c_hi:
         raise NoEventInBracket(
             f"period-{n} cycle count is {c_lo} at both ends of {b_bracket}")
-    a, c = lo, hi
-    ca, cc = c_lo, c_hi
-    while c - a > COUNT_BISECT_WIDTH:
-        m = 0.5 * (a + c)
-        cm = count(m)
-        if cm == ca:
-            a, ca = m, cm
-        else:
-            c, cc = m, cm
-    rich_b = a if ca > cc else c
-    # The step is taken across the whole bracket (which isolates one event):
-    # a narrowed endpoint can land exactly on the event, where the tangent
-    # pair counts as a single orbit and would fake a step of one.
     step = abs(c_lo - c_hi)
-
     if step >= 2:
-        cycles = find_cycles_1d(Params(rich_b), n, interval)
-        newborn = min(cycles, key=lambda cy: abs(cy.multiplier - 1.0))
-        x_star, b_star = _tangency_polish(newborn.points[0], rich_b, n)
-        ok = (lo - 1e-3 <= b_star <= hi + 1e-3
-              and abs(h1d_n(x_star, Params(b_star), n) - x_star) <= 1e-9
-              and _is_minimal(x_star, b_star, n)
-              and abs(_multiplier_at(x_star, b_star, n) - 1.0) <= 1e-7)
-        if ok:
-            pts = _orbit_1d(x_star, b_star, n)
-            return BifurcationEvent(kind="fold", period=n, b_star=b_star,
-                                    x_star=min(pts))
-        if n % 2 != 0:
-            raise NoEventInBracket(
-                f"tangency polish failed for the period-{n} fold in {b_bracket}")
-        # fall through to the doubling-birth path
-
+        rich = 0 if c_lo > c_hi else 1
+        starts = [(cy, b_bracket[rich]) for cy in ends[rich]]
+        ev = _first_event("fold", n, starts, 1.0, b_bracket)
+        if ev is not None:
+            return ev
     if n % 2 != 0:
         raise NoEventInBracket(
-            f"period-{n} count changes by {step} across {b_bracket}; "
-            "not a tangency this locator can pin")
-    # doubling birth: the newborn cycle collapses onto its period-n/2 parent,
-    # whose multiplier crosses -1 exactly at the birth
-    b_star, parent_pts = _flip_core(n // 2, b_bracket, interval)
-    x_star = min(parent_pts)
-    if abs(_multiplier_at(x_star, b_star, n) - 1.0) > 1e-7:
-        raise NoEventInBracket(
-            f"parent-branch refinement failed for the period-{n} birth")
-    return BifurcationEvent(kind="fold", period=n, b_star=b_star, x_star=x_star)
+            f"period-{n} count changes by {step} across {b_bracket}, "
+            "but no tangency was located inside it")
+    parent = find_flip(n // 2, b_bracket, interval)
+    return BifurcationEvent(kind="fold", period=n, b_star=parent.b_star,
+                            x_star=parent.x_star)
 
 
 def find_transcritical(b_bracket) -> BifurcationEvent:

@@ -3,7 +3,8 @@
 One subcommand per capability; every run echoes its parsed configuration
 to stderr and embeds it in JSON outputs, so any file can be traced back
 to the exact invocation.  Exit codes: 0 success, 1 usage error, 2
-computation error (divergence, no event in bracket, count mismatch, ...).
+computation error (divergence, no event in bracket, failed lift check,
+...).
 """
 from __future__ import annotations
 
@@ -287,7 +288,9 @@ def _cmd_basin(args):
            "res": list(args.res), "max_iter": args.max_iter,
            "transient": args.transient,
            "signature_samples": args.signature_samples,
-           "match_tol": args.match_tol, "merge_tol": args.merge_tol}
+           "match_tol": args.match_tol, "merge_tol": args.merge_tol,
+           "tail_samples": args.tail_samples,
+           "seeds": [list(t) for t in args.seeds] if args.seeds else None}
     _echo(cfg)
     params = Params(args.b)
     spec = basins.SliceSpec(fixed_axis=axis, fixed_value=value,

@@ -38,10 +38,6 @@ class NoEventInBracket(ToolkitError):
     pass
 
 
-class BranchLost(ToolkitError):
-    pass
-
-
 class PaletteMissingLabel(ToolkitError):
     def __init__(self, label):
         self.label = label

@@ -1,13 +1,17 @@
 """Locating fold / flip / transcritical events and parameter sweeps.
 
-Closed forms pin most expectations: the fixed-point pair exists for
+Closed forms pin every event location: the fixed-point pair exists for
 b <= 1/4, flips at b = -3/4; the 2-cycle multiplier is 4(b+1), so it
-flips at b = -5/4; the period-3 pair is born tangent at b = -7/4.
-The two events without a usable closed form (period-3 and period-4
-flips) are pinned against values frozen from an independent run of the
-tracker at 1e-12 bracket width.
+flips at b = -5/4.  The 3-cycle multipliers solve
+lambda^2 - (16+8b) lambda + 64(b^3+2b^2+b+1) = 0: lambda = +1 gives
+(4b+7)(16b^2+4b+7), the tangent birth at b = -7/4, and lambda = -1 gives
+64b^3 + 128b^2 + 72b + 81, whose real root is the period-3 flip.  The
+period-4 flip is the root near -1.368 of
+4096b^6 + 12288b^5 + 12032b^4 + 12032b^3 + 8432b^2 + 4913.  Both roots
+are bisected here in exact rational arithmetic.
 """
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +20,31 @@ from quadshift import (Diverged, NoEventInBracket, Params, Point3,
                        event_residuals, find_cycles_1d, find_flip, find_fold,
                        find_transcritical, multiplier_curve, orbit)
 
-FLIP3_B = -1.7685291524676847      # frozen: period-3 flip
-FLIP4_B = -1.3680989393912575      # frozen: period-4 flip
+
+def _real_root(coeffs, lo, hi):
+    """The root of the integer polynomial (highest power first) in [lo, hi],
+    bisected on exact rationals to well below one ulp."""
+    def sign(b):
+        v = Fraction(0)
+        for c in coeffs:
+            v = v * b + c
+        return v > 0
+    lo, hi = Fraction(lo), Fraction(hi)
+    s_lo = sign(lo)
+    assert sign(hi) != s_lo
+    for _ in range(70):
+        mid = (lo + hi) / 2
+        if sign(mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+FLIP3_B = _real_root((64, 128, 72, 81), "-1.8", "-1.75")
+FLIP4_B = _real_root((4096, 12288, 12032, 12032, 8432, 0, 4913),
+                     "-1.37", "-1.36")
+EXACT = 1e-14   # every located event sits this close to its closed form
 
 
 def _check_residuals(ev, closure_tol=1e-9, mult_tol=1e-7):
@@ -26,39 +53,37 @@ def _check_residuals(ev, closure_tol=1e-9, mult_tol=1e-7):
     assert mult <= mult_tol
 
 
+def _check_event(ev, kind, period, b_star, bracket):
+    assert (ev.kind, ev.period) == (kind, period)
+    assert abs(ev.b_star - b_star) <= EXACT, bracket
+    _check_residuals(ev)
+
+
 # ---------------------------------------------------------------------------
-# events with closed-form locations
+# events at their closed-form locations
 
 
 def test_fold_of_fixed_points():
     ev = find_fold(1, (0.2, 0.3))
-    assert ev.kind == "fold"
-    assert ev.period == 1
-    assert abs(ev.b_star - 0.25) <= 1e-9
+    _check_event(ev, "fold", 1, 0.25, (0.2, 0.3))
     assert abs(ev.x_star - 0.5) <= 1e-6
-    _check_residuals(ev)
 
 
 def test_flip_of_fixed_point():
-    ev = find_flip(1, (-0.8, -0.7))
-    assert abs(ev.b_star - (-0.75)) <= 1e-9
-    # at b = -3/4 the pair is 1/2 +- 1; the one with multiplier 2x = -1
-    assert abs(ev.x_star - (-0.5)) <= 1e-6
-    _check_residuals(ev)
+    for bracket in ((-0.8, -0.7), (-1.0, 0.0)):
+        ev = find_flip(1, bracket)
+        _check_event(ev, "flip", 1, -0.75, bracket)
+        # at b = -3/4 the pair is 1/2 +- 1; the one with multiplier 2x = -1
+        assert abs(ev.x_star - (-0.5)) <= 1e-6
 
 
 def test_flip_of_two_cycle():
-    ev = find_flip(2, (-1.3, -1.2))
-    assert abs(ev.b_star - (-1.25)) <= 1e-9
-    _check_residuals(ev)
+    for bracket in ((-1.3, -1.2), (-1.5, -0.8)):
+        _check_event(find_flip(2, bracket), "flip", 2, -1.25, bracket)
 
 
 def test_fold_of_three_cycle():
-    ev = find_fold(3, (-1.8, -1.7))
-    assert ev.kind == "fold"
-    assert ev.period == 3
-    assert abs(ev.b_star - (-1.75)) <= 1e-9
-    _check_residuals(ev)
+    _check_event(find_fold(3, (-1.8, -1.7)), "fold", 3, -1.75, (-1.8, -1.7))
 
 
 def test_transcritical_exchange():
@@ -77,30 +102,42 @@ def test_transcritical_is_exact():
         find_transcritical((0.25, 0.3))
 
 
-# ---------------------------------------------------------------------------
-# events pinned against frozen values
-
-
 def test_flip_of_three_cycle():
-    ev = find_flip(3, (-1.8, -1.75))
-    assert abs(ev.b_star - FLIP3_B) <= 1e-6
-    _check_residuals(ev)
+    # (-1.8, -1.7) holds the fold at -7/4 as well: the cycles alive at its
+    # low end are polished straight to the flip
+    assert abs(FLIP3_B - (-1.76852915246768502)) <= 1e-16
+    for bracket in ((-1.8, -1.75), (-1.9, -1.75), (-1.8, -1.7)):
+        _check_event(find_flip(3, bracket), "flip", 3, FLIP3_B, bracket)
 
 
-def test_flip_of_four_cycle_frozen():
-    ev = find_flip(4, (-1.45, -1.3))
-    assert abs(ev.b_star - FLIP4_B) <= 1e-9
-    _check_residuals(ev)
+def test_flip_of_four_cycle():
+    assert abs(FLIP4_B - (-1.36809893939125803)) <= 1e-16
+    for bracket in ((-1.45, -1.3), (-1.5, -1.26)):
+        _check_event(find_flip(4, bracket), "flip", 4, FLIP4_B, bracket)
 
 
 def test_fold_of_two_cycle_is_doubling_birth():
     # the 2-cycle is born when the fixed point flips, not at a tangency;
     # the locator must route through the parent branch and still call it
-    # a birth of period-2 orbits
-    ev = find_fold(2, (-0.8, -0.7))
-    assert ev.kind == "fold"
-    assert ev.period == 2
-    assert abs(ev.b_star - (-0.75)) <= 1e-9
+    # a birth of period-2 orbits; likewise periods 4 and 6 at the flips
+    # of the 2- and 3-cycles
+    for n, bracket, b_star in ((2, (-0.8, -0.7), -0.75),
+                               (4, (-1.3, -1.2), -1.25),
+                               (6, (-1.8, -1.7), FLIP3_B)):
+        _check_event(find_fold(n, bracket), "fold", n, b_star, bracket)
+
+
+def test_flips_where_a_bracket_end_has_no_live_branch():
+    # the flipping branch is born or ends inside these brackets, so no
+    # branch runs from end to end; the event must still be found
+    wide = find_flip(5, (-1.7, -1.6))
+    assert -1.7 <= wide.b_star <= -1.6
+    _check_residuals(wide)
+    narrow = find_flip(5, (-1.63, -1.626))
+    assert abs(wide.b_star - narrow.b_star) <= 1e-12
+    ev = find_flip(8, (-1.43, -1.35))
+    assert -1.43 <= ev.b_star <= -1.35
+    _check_residuals(ev)
 
 
 def test_event_ordering_chain():

@@ -108,14 +108,17 @@ def test_census_past_the_scalar_wrap():
 
 
 def test_flip_three_location():
-    r = run("bifurcations", "--kind", "flip", "--period", "3",
-            "--bracket", "-1.8,-1.75")
-    assert r.returncode == 0
-    lines = r.stdout.splitlines()
-    assert lines[0] == "kind,period,b_star,x_star"
-    kind, period, b_star, _ = lines[1].split(",")
-    assert kind == "flip" and period == "3"
-    assert abs(float(b_star) - (-1.768529152)) < 1e-6
+    # (-1.8, -1.7) is the recipe's fold-3 bracket: no 3-cycle is alive at
+    # its high end
+    for bracket in ("-1.8,-1.75", "-1.8,-1.7"):
+        r = run("bifurcations", "--kind", "flip", "--period", "3",
+                "--bracket", bracket)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert lines[0] == "kind,period,b_star,x_star"
+        kind, period, b_star, _ = lines[1].split(",")
+        assert kind == "flip" and period == "3"
+        assert abs(float(b_star) - (-1.768529152)) < 1e-6
 
 
 def test_critical_planes_row_count():
@@ -198,14 +201,36 @@ def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
     assert not csv.exists()
 
 
-def test_basin_options_are_exactly_the_basin_flags():
+def _basin_flags():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest for a in sub.choices["basin"]._actions}
+    return {a.dest for a in sub.choices["basin"]._actions}
+
+
+def test_basin_options_are_exactly_the_basin_flags():
+    flags = _basin_flags()
     not_options = {"help", "b", "slice", "u_range", "v_range", "res", "seeds",
                    "out", "ppm"}
     assert {f.name for f in dataclasses.fields(BasinOptions)} == \
         flags - not_options
+
+
+def test_basin_config_echoes_every_basin_flag(tmp_path):
+    csv = tmp_path / "basin.csv"
+    base = ("basin", "--b", "-0.4", "--res", "4,3", "--out", str(csv))
+    configs = []
+    for extra in ((), ("--tail-samples", "8", "--seeds", "0.1,0.2,0.3")):
+        r = run(*base, *extra)
+        assert r.returncode == 0, r.stderr
+        cfg = json.loads(r.stderr.splitlines()[0][len("config: "):])
+        assert json.loads((tmp_path / "basin.meta.json").read_text())[
+            "config"] == cfg
+        assert set(cfg) - {"subcommand"} == _basin_flags() - {"help", "out",
+                                                              "ppm"}
+        configs.append(cfg)
+    default, custom = configs
+    assert (default["tail_samples"], default["seeds"]) == (16, None)
+    assert (custom["tail_samples"], custom["seeds"]) == (8, [[0.1, 0.2, 0.3]])
 
 
 def test_diagram_csv_shape(tmp_path):
