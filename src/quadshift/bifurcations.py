@@ -136,10 +136,13 @@ def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
 def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
     """Parameter where a period-n cycle is born inside the bracket.
 
-    A count step of two or more is a tangency: the richer end's cycles are
-    polished toward multiplier +1.  At even n, a step of one, or a step
-    no polish resolves inside the bracket, is a period-doubling birth,
-    located as the flip of the period-n/2 parent branch.
+    The bracket is closed: a fold on either end counts.  A count step of
+    two or more is a tangency, and so is any step at odd n (a fold on a
+    bracket end leaves one tangent cycle there, a step of one): the richer
+    end's cycles are polished toward multiplier +1.  At even n, a step of
+    one, or a step no polish resolves inside the bracket, is a
+    period-doubling birth, located as the flip of the period-n/2 parent
+    branch.
     """
     ends = _cycles_at_ends(n, b_bracket, interval)
     c_lo, c_hi = (len(cycles) for cycles in ends)
@@ -147,7 +150,7 @@ def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
         raise NoEventInBracket(
             f"period-{n} cycle count is {c_lo} at both ends of {b_bracket}")
     step = abs(c_lo - c_hi)
-    if step >= 2:
+    if step >= 2 or n % 2 != 0:
         rich = 0 if c_lo > c_hi else 1
         starts = [(cy, b_bracket[rich]) for cy in ends[rich]]
         ev = _first_event("fold", n, starts, 1.0, b_bracket)
@@ -166,11 +169,12 @@ def find_transcritical(b_bracket) -> BifurcationEvent:
     """Parameter where the two fixed-point branches collide at multiplier +1.
 
     The fixed points 1/2 +- sqrt(1/4 - b) are real iff b <= 1/4 and meet
-    at x = 1/2 there, so the event is exact: b* = 1/4, x* = 1/2."""
+    at x = 1/2 there, so the event is exact: b* = 1/4, x* = 1/2.  The
+    bracket is closed, as for the other locators."""
     lo, hi = b_bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if not lo < 0.25 <= hi:
+    if not lo <= 0.25 <= hi:
         raise NoEventInBracket(
             f"fixed-point branches do not collide inside {b_bracket}")
     return BifurcationEvent(kind="transcritical", period=1, b_star=0.25,

@@ -4,7 +4,8 @@ One subcommand per capability; every run echoes its parsed configuration
 to stderr and embeds it in JSON outputs, so any file can be traced back
 to the exact invocation.  Exit codes: 0 success, 1 usage error, 2
 computation error (divergence, no event in bracket, failed lift check,
-...).
+...) or an input file that does not hold what it should (a basin CSV that
+does not list each grid cell once).
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import itertools
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +94,7 @@ def _deliver(text, out):
     if out:
         serialize.save_text(out, text)
     else:
-        sys.stdout.write(text)
+        serialize.write_text(sys.stdout, text)
 
 
 def _cycles3d_payload(b, cfg, found):
@@ -330,11 +332,27 @@ def _cmd_render(args):
                             u_range=tuple(sl["u_range"]),
                             v_range=tuple(sl["v_range"]),
                             nu=sl["nu"], nv=sl["nv"])
-    labels = np.full((spec.nv, spec.nu), basins.UNDECIDED, dtype=int)
-    lines = Path(args.csv).read_text().splitlines()
-    for line in lines[1:]:
-        i, j, _, _, lab = line.split(",")
-        labels[int(j), int(i)] = int(lab)
+    try:
+        with warnings.catch_warnings():     # a header-only file is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            cells = np.loadtxt(args.csv, delimiter=",", skiprows=1,
+                               usecols=(0, 1, 4), dtype=int, ndmin=2)
+    except ValueError as exc:
+        print(f"quadshift: error: render: {args.csv}: {exc}", file=sys.stderr)
+        return 2
+    i, j, lab = cells.T
+    inside = (i >= 0) & (i < spec.nu) & (j >= 0) & (j < spec.nv)
+    counts = np.bincount(j[inside] * spec.nu + i[inside],
+                         minlength=spec.nu * spec.nv)
+    if not inside.all() or (counts != 1).any():
+        print(f"quadshift: error: render: {args.csv} must list each cell of "
+              f"the {spec.nu}x{spec.nv} grid once: "
+              f"{int((counts == 0).sum())} missing, "
+              f"{int((counts > 1).sum())} repeated, "
+              f"{int((~inside).sum())} outside it", file=sys.stderr)
+        return 2
+    labels = np.empty((spec.nv, spec.nu), dtype=int)
+    labels[j, i] = lab
     grid = basins.BasinGrid(b=meta["b"], spec=spec, labels=labels,
                             attractors=(), options=basins.BasinOptions())
     serialize.save_bytes(args.out, basins.render_grid(grid))

@@ -1,19 +1,29 @@
 """Text output: CSV tables and JSON payloads.
 
-All floating-point values are written with 17 significant digits so that
-files round-trip bit-exactly and reruns produce byte-identical output.
-The JSON emitter is hand-rolled for exactly that reason: the stdlib
-serializer formats floats with repr, which round-trips but does not match
-the 17-digit convention used by the CSV writers.
+One rule formats every float in every file: 17 significant digits,
+`"%.17g" % v`, which is byte for byte `fmt(v)`.  Files round-trip
+bit-exactly and reruns produce byte-identical output.  The writers apply
+the rule to whole row blocks: a diagram parameter, a basin grid row, an
+orbit or a scalar cycle is one `%` template filled from one tuple, not one
+call per value.  The JSON emitter is hand-rolled for the same reason: the
+stdlib serializer formats floats with repr, which round-trips but does
+not match the 17-digit convention.
+
+`save_text` writes in slices of WRITE_SLICE characters, so the file layer
+never encodes a full-size copy of a large table.
 """
 from __future__ import annotations
 
-import json
+import functools
+from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 from .basins import DIVERGENT, RETRY_FACTOR, UNDECIDED, BasinGrid
 from .core import escape_radius
 
 INDENT = "  "    # per JSON nesting level
+WRITE_SLICE = 1 << 18   # characters per write of save_text / write_text
 
 
 def fmt(v: float) -> str:
@@ -25,6 +35,9 @@ def fmt(v: float) -> str:
 
 
 def dumps_17g(obj) -> str:
+    """JSON text of nested dicts, lists and tuples of str, bool, None,
+    ints and floats (numpy integer and float scalars included); any other
+    type raises TypeError."""
     out = []
     _emit(obj, out, 0)
     out.append("\n")
@@ -32,45 +45,87 @@ def dumps_17g(obj) -> str:
 
 
 def _emit(obj, out, level):
-    pad = INDENT * (level + 1)
-    end = INDENT * level
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
-            out.append("[" + ", ".join(_num(v) for v in seq) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(end + "]")
-    elif isinstance(obj, bool):
+    t = type(obj)
+    if t is float:
+        out.append("%.17g" % obj)
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is list or t is tuple:
+        _emit_seq(obj, out, level)
+    elif t is dict:
+        _emit_dict(obj, out, level)
+    elif t is int:
+        out.append(str(obj))
+    elif t is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, float)):
-        out.append(_num(obj))
     elif obj is None:
         out.append("null")
+    elif _is_number(t):
+        out.append(_num(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(str(obj)))
+    elif isinstance(obj, dict):
+        _emit_dict(obj, out, level)
+    elif isinstance(obj, (list, tuple)):
+        _emit_seq(obj, out, level)
     else:
-        out.append(json.dumps(str(obj)))
+        raise TypeError(f"dumps_17g cannot write a {t.__name__}")
+
+
+def _emit_dict(obj, out, level):
+    if not obj:
+        out.append("{}")
+        return
+    pad = INDENT * (level + 1)
+    out.append("{\n")
+    for k, v in obj.items():
+        out.append(f"{pad}{_quote(str(k))}: ")
+        _emit(v, out, level + 1)
+        out.append(",\n")
+    out[-1] = "\n"
+    out.append(INDENT * level + "}")
+
+
+def _emit_seq(seq, out, level):
+    """A list of numbers goes on one line; an all-float list through one
+    cached template.  Each item of a longer list is joined into one string
+    before the next starts, so a large payload never holds all of its
+    small pieces at once."""
+    if not seq:
+        out.append("[]")
+        return
+    types = set(map(type, seq))
+    if types == {float}:
+        out.append(_float_list(len(seq)) % tuple(seq))
+        return
+    if all(map(_is_number, types)):
+        out.append("[" + ", ".join(map(_num, seq)) + "]")
+        return
+    pad = INDENT * (level + 1)
+    out.append("[\n")
+    for v in seq:
+        item = []
+        _emit(v, item, level + 1)
+        out.append(pad)
+        out.append("".join(item))
+        out.append(",\n")
+    out[-1] = "\n"
+    out.append(INDENT * level + "]")
+
+
+@functools.lru_cache(maxsize=64)
+def _float_list(n: int) -> str:
+    return "[" + ", ".join(["%.17g"] * n) + "]"
+
+
+def _is_number(t: type) -> bool:
+    return t is not bool and issubclass(t, (int, float, np.integer,
+                                            np.floating))
 
 
 def _num(v) -> str:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
     return fmt(v)
 
 
@@ -78,66 +133,78 @@ def _num(v) -> str:
 # CSV tables
 
 
+def _rows(template: str, *columns) -> str:
+    """`template` (one row) filled once per row; one column per
+    placeholder, all of the same length."""
+    n = len(columns[0])
+    args = [None] * (n * len(columns))
+    for k, col in enumerate(columns):
+        args[k::len(columns)] = col
+    return template * n % tuple(args)
+
+
 def orbit_csv(points) -> str:
-    lines = ["n,x,y,z"]
-    for n, p in enumerate(points):
-        lines.append(f"{n},{fmt(p.x)},{fmt(p.y)},{fmt(p.z)}")
-    return "\n".join(lines) + "\n"
+    pts = list(points)
+    return "n,x,y,z\n" + _rows("%d,%.17g,%.17g,%.17g\n", range(len(pts)),
+                                [p.x for p in pts], [p.y for p in pts],
+                                [p.z for p in pts])
 
 
 def cycles1d_csv(cycles) -> str:
-    lines = ["period,i,x_i,multiplier"]
+    blocks = ["period,i,x_i,multiplier\n"]
     for c in cycles:
-        for i, x in enumerate(c.points):
-            lines.append(f"{c.period},{i},{fmt(x)},{fmt(c.multiplier)}")
-    return "\n".join(lines) + "\n"
+        blocks.append(_rows(f"{c.period},%d,%.17g,{fmt(c.multiplier)}\n",
+                            range(len(c.points)), c.points))
+    return "".join(blocks)
 
 
 def events_csv(events) -> str:
-    lines = ["kind,period,b_star,x_star"]
+    blocks = ["kind,period,b_star,x_star\n"]
     for ev in events:
-        lines.append(f"{ev.kind},{ev.period},{fmt(ev.b_star)},{fmt(ev.x_star)}")
-    return "\n".join(lines) + "\n"
+        blocks.append("%s,%s,%.17g,%.17g\n"
+                      % (ev.kind, ev.period, ev.b_star, ev.x_star))
+    return "".join(blocks)
 
 
 def planes_csv(planes) -> str:
-    lines = ["k,axis,offset"]
+    blocks = ["k,axis,offset\n"]
     for pl in planes:
-        lines.append(f"{pl.index},{pl.axis},{fmt(pl.offset)}")
-    return "\n".join(lines) + "\n"
+        blocks.append("%s,%s,%.17g\n" % (pl.index, pl.axis, pl.offset))
+    return "".join(blocks)
 
 
 def diagram_csv(dataset) -> str:
     """Long-form (b, x) rows; rows whose orbit escaped carry no samples and
     are skipped here -- callers that care report them separately."""
-    lines = ["b,x"]
+    blocks = ["b,x\n"]
     for row in dataset.rows:
-        if row.samples is None:
-            continue
-        for x in row.samples:
-            lines.append(f"{fmt(row.b)},{fmt(x)}")
-    return "\n".join(lines) + "\n"
+        if row.samples is not None:
+            blocks.append(_rows(fmt(row.b) + ",%.17g\n", row.samples))
+    return "".join(blocks)
 
 
 def lyapunov_csv(results) -> str:
-    lines = ["b,l1,l2,l3,n_iter"]
+    blocks = ["b,l1,l2,l3,n_iter\n"]
     for r in results:
         l1, l2, l3 = r.exponents
-        lines.append(f"{fmt(r.b)},{fmt(l1)},{fmt(l2)},{fmt(l3)},{r.n_used}")
-    return "\n".join(lines) + "\n"
+        blocks.append("%.17g,%.17g,%.17g,%.17g,%s\n"
+                      % (r.b, l1, l2, l3, r.n_used))
+    return "".join(blocks)
 
 
 def basin_csv(grid: BasinGrid) -> str:
+    """One row per cell, j outer; each U and V center is formatted once."""
     spec = grid.spec
     U = spec.u_centers()
     V = spec.v_centers()
     ua, va = spec.axes()
-    lines = [f"i,j,{ua},{va},label"]
+    row = "".join(f"{i},%d,{fmt(U[i])},%s,%d\n" for i in range(spec.nu))
+    blocks = [f"i,j,{ua},{va},label\n"]
     for j in range(spec.nv):
-        for i in range(spec.nu):
-            lines.append(f"{i},{j},{fmt(U[i])},{fmt(V[j])},"
-                         f"{int(grid.labels[j, i])}")
-    return "\n".join(lines) + "\n"
+        args = [j, fmt(V[j]), 0] * spec.nu
+        args[2::3] = grid.labels[j].tolist()
+        blocks.append(row % tuple(args))
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +268,16 @@ def basin_sidecar(grid: BasinGrid) -> dict:
     }
 
 
+def write_text(fh, text: str) -> None:
+    """Write `text` to the text stream `fh` in slices of WRITE_SLICE
+    characters, so no full-size encoded copy is ever made."""
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start:start + WRITE_SLICE])
+
+
 def save_text(path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        write_text(fh, text)
 
 
 def save_bytes(path, blob: bytes) -> None:

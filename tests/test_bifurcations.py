@@ -86,6 +86,15 @@ def test_fold_of_three_cycle():
     _check_event(find_fold(3, (-1.8, -1.7)), "fold", 3, -1.75, (-1.8, -1.7))
 
 
+@pytest.mark.parametrize("n, bracket, b_star", [
+    (3, (-1.8, -1.75), -1.75), (3, (-1.75, -1.7), -1.75),
+    (1, (0.2, 0.25), 0.25), (1, (0.25, 0.3), 0.25)])
+def test_fold_on_a_bracket_end(n, bracket, b_star):
+    # the tangent orbit counts as one cycle at the end that holds the
+    # fold, so the count steps by one at odd n; the bracket is closed
+    _check_event(find_fold(n, bracket), "fold", n, b_star, bracket)
+
+
 def test_transcritical_exchange():
     ev = find_transcritical((0.2, 0.3))
     assert ev.kind == "transcritical"
@@ -94,12 +103,10 @@ def test_transcritical_exchange():
 
 
 def test_transcritical_is_exact():
-    for bracket in ((0.2, 0.3), (0.0, 0.25), (-1.0, 7.0)):
+    for bracket in ((0.2, 0.3), (0.0, 0.25), (0.25, 0.3), (-1.0, 7.0)):
         ev = find_transcritical(bracket)
         assert (ev.b_star, ev.x_star) == (0.25, 0.5)
         assert event_residuals(ev) == (0.0, 0.0)
-    with pytest.raises(NoEventInBracket):
-        find_transcritical((0.25, 0.3))
 
 
 def test_flip_of_three_cycle():
@@ -177,8 +184,9 @@ def test_bad_bracket_order():
 
 
 def test_no_transcritical_in_quiet_bracket():
-    with pytest.raises(NoEventInBracket):
-        find_transcritical((0.0, 0.2))
+    for bracket in ((0.0, 0.2), (0.26, 0.3)):
+        with pytest.raises(NoEventInBracket):
+            find_transcritical(bracket)
 
 
 # ---------------------------------------------------------------------------

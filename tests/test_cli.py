@@ -5,6 +5,7 @@ not just the command functions, is on the hook.
 """
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,18 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from quadshift import BasinOptions
+from quadshift import BasinOptions, serialize
 from quadshift.cli import build_parser
 
 CMD = [sys.executable, "-m", "quadshift"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run(*args, **kw):
+def run(*args, text=True, **kw):
     # the subprocess imports this checkout's package, installed or not
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+    return subprocess.run(CMD + list(args), capture_output=True, text=text,
                           timeout=300, env=env, **kw)
 
 
@@ -189,6 +190,46 @@ def test_basin_files_and_render_round_trip(tmp_path):
     assert out2.read_bytes() == blob
 
 
+@pytest.fixture(scope="module")
+def basin_6x5(tmp_path_factory):
+    csv = tmp_path_factory.mktemp("basin") / "basin.csv"
+    r = run("basin", "--b", "-0.4", "--res", "6,5", "--out", str(csv))
+    assert r.returncode == 0, r.stderr
+    return csv
+
+
+def _cut_last_grid_row(lines):
+    return lines[:-6]
+
+
+def _move_a_row_off_grid(lines):
+    i, j, *rest = lines[5].split(",")
+    return lines[:5] + [",".join([i, "-4", *rest])] + lines[6:]
+
+
+def _repeat_a_row(lines):
+    return lines + [lines[3]]
+
+
+def _header_only(lines):
+    return lines[:1]
+
+
+@pytest.mark.parametrize("edit", [_cut_last_grid_row, _move_a_row_off_grid,
+                                  _repeat_a_row, _header_only])
+def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
+                                                           edit):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(basin_6x5.read_text().splitlines())) + "\n")
+    (tmp_path / "bad.meta.json").write_bytes(
+        basin_6x5.with_suffix(".meta.json").read_bytes())
+    out = tmp_path / "bad.ppm"
+    r = run("render", "--csv", str(bad), "--out", str(out))
+    assert r.returncode == 2
+    assert "each cell of the 6x5 grid once" in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (("--tail-samples", "0"), "tail_samples"),
     (("--max-iter", "0", "--transient", "0"), "max_iter + transient"),
@@ -241,6 +282,52 @@ def test_diagram_csv_shape(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "b,x"
     assert len(lines) == 1 + 3 * 8
+
+
+def test_diagram_to_file_and_to_stdout_are_the_same_bytes(tmp_path):
+    out = tmp_path / "diag.csv"
+    args = ("diagram", "--b-min", "-1.9", "--b-max", "-1.2", "--steps", "40",
+            "--samples", "200", "--transient", "50")
+    r = run(*args, "--out", str(out))
+    assert r.returncode == 0
+    blob = out.read_bytes()
+    assert len(blob) > serialize.WRITE_SLICE
+    r2 = run(*args, text=False)
+    assert r2.returncode == 0
+    assert r2.stdout == blob
+
+
+# Identical command lines give byte-identical files, release after release:
+# SHA-256 of each output, pinned from the per-value writers these outputs
+# were first written with.
+PINNED = [
+    (("diagram", "--b-min", "-1.99", "--b-max", "-0.3", "--steps", "800",
+      "--x0", "0,-0.5,0", "--transient", "1000", "--samples", "200",
+      "--out", "diagram.csv"),
+     {"diagram.csv": "0e389b85f1bdbe727763fee8199596a8"
+                     "f9daebfc4e4122cf6d55777448fa54f8"}),
+    (("census", "--b", "-2", "--period", "11", "--out", "census.json"),
+     {"census.json": "2df55d1c48a5765f9ed90bbd47070d8c"
+                     "d135e019939c16373a5856e6ef7371a8"}),
+    (("basin", "--b", "-1.864", "--slice", "z=0.5", "--u-range", "-2,2",
+      "--v-range", "-2,2", "--res", "20,20", "--signature-samples", "4096",
+      "--match-tol", "0.3", "--out", "basin.csv", "--ppm", "basin.ppm"),
+     {"basin.csv": "ef7357c628a21fa3be860d1104b3be62"
+                   "88d1edf8fde4c731171ac32be7966fd8",
+      "basin.meta.json": "0d030ad9cb771b09eff2d8a35720ef9a"
+                         "c7106c74d134646fc823d7a374f76102",
+      "basin.ppm": "c39099f7c4b4808f456139dc9a8d6886"
+                   "ad5a26044969eda528897f220576aae2"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED,
+                         ids=[argv[0] for argv, _ in PINNED])
+def test_outputs_match_pinned_digests(tmp_path, argv, digests):
+    r = run(*argv, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_lyapunov_cli_short_run():

@@ -3,20 +3,23 @@ pinned CSV headers.  Readers parse these files, so headers and float
 round-trip fidelity are contract, not cosmetics.
 """
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadshift import (BasinOptions, Params, Point3, SliceSpec, basin_slice,
+from quadshift import (BasinGrid, BasinOptions, DiagramDataset, DiagramRow,
+                       Params, Point3, SliceSpec, basin_slice,
                        bifurcation_diagram, build_catalog, census,
                        critical_plane, find_cycles_1d, find_flip,
                        lyapunov_spectrum, orbit)
-from quadshift.serialize import (basin_csv, basin_sidecar, cycle3d_payload,
-                                 cycles1d_csv, diagram_csv, dumps_17g,
-                                 events_csv, fmt, lyapunov_csv, orbit_csv,
-                                 planes_csv)
+from quadshift.serialize import (WRITE_SLICE, basin_csv, basin_sidecar,
+                                 cycle3d_payload, cycles1d_csv, diagram_csv,
+                                 dumps_17g, events_csv, fmt, lyapunov_csv,
+                                 orbit_csv, planes_csv, save_text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,3 +169,248 @@ def test_basin_sidecar_keys():
     # sidecar must survive the 17g emitter + json round trip
     back = json.loads(dumps_17g(side))
     assert back["b"] == -0.4
+
+
+# ---------------------------------------------------------------------------
+# the block writers against the per-value writers they replaced
+#
+# The reference below formats one value per call, as the package did before
+# its writers filled one `%` template per row block; every writer must give
+# the same bytes.
+
+
+def _ref_num(v) -> str:
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(v)
+    return fmt(v)
+
+
+def _ref_emit(obj, out, level):
+    pad = "  " * (level + 1)
+    end = "  " * level
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{pad}{json.dumps(str(k))}: ")
+            _ref_emit(v, out, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(end + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in seq):
+            out.append("[" + ", ".join(_ref_num(v) for v in seq) + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(seq):
+            out.append(pad)
+            _ref_emit(v, out, level + 1)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(end + "]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, float)):
+        out.append(_ref_num(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(str(obj)))
+
+
+def _ref_dumps_17g(obj) -> str:
+    out = []
+    _ref_emit(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _ref_orbit_csv(points) -> str:
+    lines = ["n,x,y,z"]
+    for n, p in enumerate(points):
+        lines.append(f"{n},{fmt(p.x)},{fmt(p.y)},{fmt(p.z)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_cycles1d_csv(cycles) -> str:
+    lines = ["period,i,x_i,multiplier"]
+    for c in cycles:
+        for i, x in enumerate(c.points):
+            lines.append(f"{c.period},{i},{fmt(x)},{fmt(c.multiplier)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_events_csv(events) -> str:
+    lines = ["kind,period,b_star,x_star"]
+    for ev in events:
+        lines.append(f"{ev.kind},{ev.period},{fmt(ev.b_star)},{fmt(ev.x_star)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_planes_csv(planes) -> str:
+    lines = ["k,axis,offset"]
+    for pl in planes:
+        lines.append(f"{pl.index},{pl.axis},{fmt(pl.offset)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_diagram_csv(dataset) -> str:
+    lines = ["b,x"]
+    for row in dataset.rows:
+        if row.samples is None:
+            continue
+        for x in row.samples:
+            lines.append(f"{fmt(row.b)},{fmt(x)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_lyapunov_csv(results) -> str:
+    lines = ["b,l1,l2,l3,n_iter"]
+    for r in results:
+        l1, l2, l3 = r.exponents
+        lines.append(f"{fmt(r.b)},{fmt(l1)},{fmt(l2)},{fmt(l3)},{r.n_used}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_basin_csv(grid) -> str:
+    spec = grid.spec
+    U = spec.u_centers()
+    V = spec.v_centers()
+    ua, va = spec.axes()
+    lines = [f"i,j,{ua},{va},label"]
+    for j in range(spec.nv):
+        for i in range(spec.nu):
+            lines.append(f"{i},{j},{fmt(U[i])},{fmt(V[j])},"
+                         f"{int(grid.labels[j, i])}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+               0.1, 1 / 3, -1.75, 1.7976931348623157e308)
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# what a float column may be handed: floats, numpy floats, ints and bools
+values = st.one_of(floats, floats.map(np.float64),
+                   st.integers(-2 ** 62, 2 ** 62), st.booleans())
+ints = st.integers(-10 ** 6, 10 ** 6)
+small = dict(max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_percent_17g_is_fmt(v):
+    assert "%.17g" % v == fmt(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(values, values, values), **small))
+def test_orbit_csv_matches_reference(coords):
+    pts = [Point3(*c) for c in coords]
+    assert orbit_csv(pts) == _ref_orbit_csv(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ints, st.lists(values, **small), values), **small))
+def test_cycles1d_csv_matches_reference(rows):
+    cycles = [SimpleNamespace(period=n, points=tuple(xs), multiplier=m)
+              for n, xs, m in rows]
+    assert cycles1d_csv(cycles) == _ref_cycles1d_csv(cycles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["fold", "flip"]), ints, values,
+                          values), **small),
+       st.lists(st.tuples(ints, st.sampled_from("xyz"), values), **small))
+def test_events_and_planes_csv_match_reference(evs, pls):
+    events = [SimpleNamespace(kind=k, period=n, b_star=b, x_star=x)
+              for k, n, b, x in evs]
+    planes = [SimpleNamespace(index=k, axis=a, offset=o) for k, a, o in pls]
+    assert events_csv(events) == _ref_events_csv(events)
+    assert planes_csv(planes) == _ref_planes_csv(planes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(values, st.none() | st.lists(values, **small)),
+                **small))
+def test_diagram_csv_matches_reference(rows):
+    # None rows are divergent parameters; [] is a row with no samples
+    ds = DiagramDataset(
+        rows=tuple(DiagramRow(b=b, samples=None if xs is None else tuple(xs))
+                   for b, xs in rows),
+        p0=Point3(0.0, -0.5, 0.0), transient=0)
+    assert diagram_csv(ds) == _ref_diagram_csv(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(values, st.tuples(values, values, values), ints),
+                **small))
+def test_lyapunov_csv_matches_reference(rows):
+    results = [SimpleNamespace(b=b, exponents=e, n_used=n) for b, e, n in rows]
+    assert lyapunov_csv(results) == _ref_lyapunov_csv(results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from("xyz"), st.tuples(floats, floats),
+       st.tuples(floats, floats), st.integers(1, 7), st.integers(1, 7),
+       st.data())
+def test_basin_csv_matches_reference(axis, u_range, v_range, nu, nv, data):
+    labels = np.array(data.draw(st.lists(st.integers(-2, 9), min_size=nu * nv,
+                                         max_size=nu * nv))).reshape(nv, nu)
+    spec = SliceSpec(fixed_axis=axis, u_range=u_range, v_range=v_range,
+                     nu=nu, nv=nv)
+    grid = BasinGrid(b=-1.0, spec=spec, labels=labels, attractors=(),
+                     options=BasinOptions())
+    with np.errstate(all="ignore"):
+        assert basin_csv(grid) == _ref_basin_csv(grid)
+
+
+json_leaves = st.one_of(values, st.none(), st.text(max_size=8))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(st.text(max_size=5) | ints, kids,
+                                           max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_dumps_17g_matches_reference(obj):
+    assert dumps_17g(obj) == _ref_dumps_17g(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(values, st.integers()), min_size=1, max_size=8))
+def test_dumps_17g_number_lists_match_reference(xs):
+    # ints past 2**53 are written in full, not rounded to 17 digits
+    assert dumps_17g(xs) == _ref_dumps_17g(xs)
+
+
+def test_dumps_17g_writes_numpy_scalars_as_numbers():
+    text = dumps_17g({"n": np.int64(3), "f": np.float32(0.1),
+                      "xs": [np.int32(-2), np.float64(0.5), 1]})
+    assert text == ('{\n  "n": 3,\n  "f": 0.10000000149011612,\n'
+                    '  "xs": [-2, 0.5, 1]\n}\n')
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.bool_(True),
+                                 object(), 1j, {1, 2}, b"bytes"])
+def test_dumps_17g_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        dumps_17g({"v": [bad]})
+    with pytest.raises(TypeError):
+        dumps_17g(bad)
+
+
+def test_save_text_writes_every_slice(tmp_path):
+    text = "".join(f"{k},{k / 7!r}\n" for k in range(WRITE_SLICE // 8))
+    assert len(text) > 2 * WRITE_SLICE
+    path = tmp_path / "t.csv"
+    save_text(path, text)
+    assert path.read_bytes() == text.encode()
