@@ -2,17 +2,22 @@
 
 A catalog is built once from seed orbits: short-period limit sets are
 detected exactly by recurrence, everything else bounded is sampled into a
-point-cloud signature of consecutive states.  Grid cells are then
-iterated as three scalar streams, since T^3 acts on each coordinate
-through H(u) = u^2 + b: every distinct start coordinate of the batch is
-iterated once under H, and each cell's escape test and post-transient
-tail are read off its three streams, bit-equal to stepping the 3D map.
-Tails are matched against the signatures by sup-distance nearest
-neighbors, and matching against an attractor stops at a cell's first
-tail sample out of tolerance.  A cell's label is the best-matching
-attractor below the match tolerance, the divergence label on escape, or
-undecided -- undecided cells get one retry with a larger budget before
-that sticks.
+point-cloud signature of consecutive states; a seed whose limit set lies
+within tolerance of an earlier one is dropped, by a Hausdorff test whose
+queries are bounded by the tolerance and which stops at the first
+direction with a point out of it.  Grid cells are then iterated as three
+scalar streams, since T^3 acts on each coordinate through H(u) = u^2 + b:
+every distinct start value of the batch is iterated once under H, and
+each cell's escape test is read off its three streams, bit-equal to
+stepping the 3D map.  The post-transient tail is never stored per cell:
+sample t of the cells still in play is gathered from the table of kept
+H-iterates when it is needed.  Tails are matched against the signatures
+by sup-distance nearest neighbors, bounded by each cell's best attractor
+so far: against an attractor, matching stops at a cell's first tail
+sample at or beyond its best distance (match_tol before any match).  A
+cell's label is the best-matching attractor below the match tolerance
+(the first on ties), the divergence label on escape, or undecided --
+undecided cells get one retry with a larger budget before that sticks.
 
 The same batch engine classifies single points, so a slice cell and a
 lone query at the same coordinates always agree.
@@ -51,6 +56,13 @@ class BasinOptions:
         # an empty tail would match every attractor at distance 0
         if self.tail_samples < 1:
             raise ValueError(f"tail_samples must be >= 1, got {self.tail_samples}")
+        # an empty signature cannot be matched, and no distance is below a
+        # tolerance <= 0 (or NaN), so every bounded cell would stay undecided
+        if self.signature_samples < 1:
+            raise ValueError("signature_samples must be >= 1, got "
+                             f"{self.signature_samples}")
+        if not self.match_tol > 0:
+            raise ValueError(f"match_tol must be > 0, got {self.match_tol}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.transient < 0:
@@ -121,17 +133,38 @@ def default_seeds() -> tuple:
 # batch orbit engine
 
 
-def _evolve(X, Y, Z, b, n_steps, tail_n, R):
-    """Advance a batch of states n_steps (>= 1); record the last tail_n states.
+@dataclass(frozen=True)
+class _Streams:
+    """A batch's tail samples, kept as the scalar streams they are read off.
 
-    Returns (escaped mask, tails (N, tail_n, 3)), bit-equal to stepping the
-    3D map, but the batch is never stepped in 3D.  With s_0, s_1, s_2 =
-    x, y, z and s_{j+3} = H(s_j), the state after step k is (s_{k+1},
-    s_{k+2}, s_{k+3}), so s_{3m+r} = H^m(start_r): a cell is three scalar
-    streams.  Every distinct start value (by bit pattern, so -0.0 stays
-    apart from 0.0) is iterated once, (n_steps+2)//3 steps of H.  A cell
-    escaped iff some |s_j| > R for 1 <= j <= n_steps+2, and tail sample i,
-    column c is s_{rec0+1+i+c}, gathered from the few iterates kept.
+    Row m - first//3 of `kept` holds H^m of every distinct start value, for
+    the m that tail samples reach; `inv[r]` maps each cell to the distinct
+    value of its coordinate r.  Column c of tail sample t is s_{first+t+c}.
+    """
+    kept: np.ndarray    # (rows, distinct start values)
+    inv: np.ndarray     # (3, cells)
+    first: int          # stream index of column 0 of tail sample 0
+    samples: int        # tail samples per cell
+
+    def sample(self, cells, t):
+        """Tail sample t of `cells` as a (cells.size, 3) block, bit-equal to
+        `tails[cells, t]` of the full (cells, samples, 3) tail tensor."""
+        j = self.first + t + np.arange(3)
+        return self.kept[j // 3 - self.first // 3,
+                         self.inv[j % 3, cells[:, None]]]
+
+
+def _evolve(X, Y, Z, b, n_steps, tail_n, R):
+    """Advance a batch of states n_steps (>= 1); keep the last tail_n states.
+
+    Returns (escaped mask, _Streams of the last tail_n states), bit-equal
+    to stepping the 3D map, but the batch is never stepped in 3D.  With
+    s_0, s_1, s_2 = x, y, z and s_{j+3} = H(s_j), the state after step k
+    is (s_{k+1}, s_{k+2}, s_{k+3}), so s_{3m+r} = H^m(start_r): a cell is
+    three scalar streams.  Every distinct start value (by bit pattern, so
+    -0.0 stays apart from 0.0) is iterated once, (n_steps+2)//3 steps of H.
+    A cell escaped iff some |s_j| > R for 1 <= j <= n_steps+2, and tail
+    sample i, column c is s_{rec0+1+i+c}, one of the few iterates kept.
     Escaped streams keep iterating toward inf -- cheap and NaN-free.
     """
     N = X.size
@@ -164,59 +197,56 @@ def _evolve(X, Y, Z, b, n_steps, tail_n, R):
         if r:
             esc = esc | hit0
         escaped |= esc[inv[r]]
-    j = rec0 + 1 + np.arange(tail_n)[:, None] + np.arange(3)   # (tail_n, 3)
-    tails = kept[j // 3 - m_lo, inv.T[:, j % 3]]
-    return escaped, tails
+    return escaped, _Streams(kept, inv, rec0 + 1, tail_n)
 
 
-def _match_tails(tails, bounded, attractors, match_tol):
+def _match_tails(streams, bounded, attractors, match_tol):
     """Best-match labels for bounded cells; UNDECIDED where nothing fits.
 
     A cell's distance to an attractor is the largest sup-distance from its
-    tail samples to the signature.  Matching stops at the first sample out
-    of tolerance: sample t is queried only for cells whose earlier samples
-    all came within match_tol, so a cell that drops out keeps a distance
-    >= match_tol, survivors get their exact distance, and the argmin (first
-    id on ties) and the tolerance test pick the label a full query would.
+    tail samples to the signature, and its label is the first attractor of
+    least distance below match_tol.  Each cell keeps the best distance so
+    far, starting at match_tol, and sample t is queried against the next
+    attractor only for cells whose running max is still below it: a cell
+    that reaches its best distance cannot win there (ties go to the earlier
+    attractor), and a survivor of every sample has its exact distance, so
+    the labels are those of a full query's argmin.
     """
-    N = tails.shape[0]
-    labels = np.full(N, UNDECIDED, dtype=int)
-    idx = np.nonzero(bounded)[0]
-    if idx.size == 0 or not attractors:
-        return labels
-    sub = tails[idx]
-    dists = np.zeros((len(attractors), idx.size))
-    for a_i, att in enumerate(attractors):
+    labels = np.full(bounded.size, UNDECIDED, dtype=int)
+    best = np.full(bounded.size, float(match_tol))
+    cells = np.nonzero(bounded)[0]
+    for att in attractors:
+        alive = cells[best[cells] > 0]
+        if alive.size == 0:
+            break
         tree = cKDTree(att.signature)
-        run = dists[a_i]
-        alive = np.arange(idx.size)
-        for t in range(sub.shape[1]):
-            d, _ = tree.query(sub[alive, t], k=1, p=np.inf,
-                              distance_upper_bound=match_tol)
-            run[alive] = np.maximum(run[alive], d)
-            alive = alive[d < match_tol]
+        run = np.zeros(alive.size)
+        for t in range(streams.samples):
+            d, _ = tree.query(streams.sample(alive, t), k=1, p=np.inf,
+                              distance_upper_bound=best[alive].max())
+            run = np.maximum(run, d)
+            keep = run < best[alive]
+            alive, run = alive[keep], run[keep]
             if alive.size == 0:
                 break
-    best = np.argmin(dists, axis=0)
-    best_d = dists[best, np.arange(idx.size)]
-    ok = best_d < match_tol
-    ids = np.array([a.id for a in attractors], dtype=int)
-    labels[idx[ok]] = ids[best[ok]]
+        best[alive] = run
+        labels[alive] = att.id
     return labels
 
 
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
     R = escape_radius(b)
     n_steps = options.transient + options.max_iter
-    escaped, tails = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples, R)
-    labels = _match_tails(tails, ~escaped, attractors, options.match_tol)
+    escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples,
+                               R)
+    labels = _match_tails(streams, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
     retry = np.nonzero(labels == UNDECIDED)[0]
     if retry.size:
         n_long = options.transient + RETRY_FACTOR * options.max_iter
-        esc2, tails2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
-                               options.tail_samples, R)
-        sub = _match_tails(tails2, ~esc2, attractors, options.match_tol)
+        esc2, streams2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
+                                 options.tail_samples, R)
+        sub = _match_tails(streams2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
         labels[retry] = sub
     return labels
@@ -256,10 +286,15 @@ def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
     return "chaotic", None, np.array(probe[: options.signature_samples])
 
 
-def _hausdorff_sup(A, B):
-    da = cKDTree(B).query(A, k=1, p=np.inf)[0].max()
-    db = cKDTree(A).query(B, k=1, p=np.inf)[0].max()
-    return max(da, db)
+def _within_hausdorff(A, B, tol):
+    """Whether the symmetric sup-metric Hausdorff distance of the point sets
+    A and B is below tol.  Each direction is a query bounded by tol, and the
+    test stops at the first direction with a point tol or more away."""
+    for P, Q in ((A, B), (B, A)):
+        d, _ = cKDTree(Q).query(P, k=1, p=np.inf, distance_upper_bound=tol)
+        if not np.all(d < tol):
+            return False
+    return True
 
 
 def build_catalog(params: Params, seeds=None,
@@ -282,7 +317,7 @@ def build_catalog(params: Params, seeds=None,
                     dup = True
                     break
             elif kind == "chaotic" and okind == "chaotic":
-                if _hausdorff_sup(sig, osig) < options.merge_tol:
+                if _within_hausdorff(sig, osig, options.merge_tol):
                     dup = True
                     break
         if not dup:
@@ -296,7 +331,7 @@ def _cycles_equal(sig_a, sig_b, tol=1e-6):
     # test; sorting coordinates is not (one-ulp noise reshuffles the order)
     if len(sig_a) != len(sig_b):
         return False
-    return _hausdorff_sup(np.asarray(sig_a), np.asarray(sig_b)) < tol
+    return _within_hausdorff(np.asarray(sig_a), np.asarray(sig_b), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +354,9 @@ def basin_slice(params: Params, spec: SliceSpec, catalog,
     """Classify every cell center of the slice.  The cells are iterated as
     three scalar streams, one per coordinate value of the slice, so the
     iteration costs O((nu + nv + 1) * steps / 3), not O(nu * nv * steps);
-    tail matching stops at each cell's first sample out of tolerance.
+    tail samples are gathered one at a time from those streams, and
+    matching stops at each cell's first sample that cannot beat its best
+    attractor so far.
     Output is independent of the thread count: rows are chunked, each chunk
     is pure, and the label matrix is assembled in canonical order."""
     if spec.nu < 2 or spec.nv < 2:

@@ -308,11 +308,12 @@ def _cmd_basin(args):
              else basins.default_seeds())
     catalog = basins.build_catalog(params, seeds, opts)
     grid = basins.basin_slice(params, spec, catalog, opts)
-    serialize.save_text(args.out, serialize.basin_csv(grid))
     meta = serialize.basin_sidecar(grid)
     meta["seeds"] = [[s.x, s.y, s.z] for s in seeds]
     meta["config"] = cfg
-    serialize.save_text(_meta_path(args.out), serialize.dumps_17g(meta))
+    meta_text = serialize.dumps_17g(meta)   # raises before any file is written
+    serialize.save_text(args.out, serialize.basin_csv(grid))
+    serialize.save_text(_meta_path(args.out), meta_text)
     if args.ppm:
         serialize.save_bytes(args.ppm, basins.render_grid(grid))
     kinds = ", ".join(f"#{a.id} {a.kind}" + (f"(p{a.period})" if a.period else "")

@@ -240,6 +240,9 @@ def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
     if n < 1:
         raise ValueError("period must be >= 1")
     lo, hi = interval
+    # a grid over an infinite end is all NaN and finds nothing
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"interval ends must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
     b = params.b

@@ -7,7 +7,11 @@ the rule to whole row blocks: a diagram parameter, a basin grid row, an
 orbit or a scalar cycle is one `%` template filled from one tuple, not one
 call per value.  The JSON emitter is hand-rolled for the same reason: the
 stdlib serializer formats floats with repr, which round-trips but does
-not match the 17-digit convention.
+not match the 17-digit convention.  JSON has no token for NaN or
+infinity, so `dumps_17g` raises ValueError on a non-finite float rather
+than write a file that JSON readers reject; the check runs once per
+formatted number block, not per value.  CSV files write them as `nan`,
+`inf` and `-inf`.
 
 `save_text` writes in slices of WRITE_SLICE characters, so the file layer
 never encodes a full-size copy of a large table.
@@ -37,7 +41,7 @@ def fmt(v: float) -> str:
 def dumps_17g(obj) -> str:
     """JSON text of nested dicts, lists and tuples of str, bool, None,
     ints and floats (numpy integer and float scalars included); any other
-    type raises TypeError."""
+    type raises TypeError, and a NaN or infinite float raises ValueError."""
     out = []
     _emit(obj, out, 0)
     out.append("\n")
@@ -47,7 +51,7 @@ def dumps_17g(obj) -> str:
 def _emit(obj, out, level):
     t = type(obj)
     if t is float:
-        out.append("%.17g" % obj)
+        out.append(_finite("%.17g" % obj))
     elif t is str:
         out.append(_quote(obj))
     elif t is list or t is tuple:
@@ -61,7 +65,7 @@ def _emit(obj, out, level):
     elif obj is None:
         out.append("null")
     elif _is_number(t):
-        out.append(_num(obj))
+        out.append(_finite(_num(obj)))
     elif isinstance(obj, str):
         out.append(_quote(str(obj)))
     elif isinstance(obj, dict):
@@ -96,10 +100,10 @@ def _emit_seq(seq, out, level):
         return
     types = set(map(type, seq))
     if types == {float}:
-        out.append(_float_list(len(seq)) % tuple(seq))
+        out.append(_finite(_float_list(len(seq)) % tuple(seq)))
         return
     if all(map(_is_number, types)):
-        out.append("[" + ", ".join(map(_num, seq)) + "]")
+        out.append(_finite("[" + ", ".join(map(_num, seq)) + "]"))
         return
     pad = INDENT * (level + 1)
     out.append("[\n")
@@ -116,6 +120,16 @@ def _emit_seq(seq, out, level):
 @functools.lru_cache(maxsize=64)
 def _float_list(n: int) -> str:
     return "[" + ", ".join(["%.17g"] * n) + "]"
+
+
+def _finite(text: str) -> str:
+    """`text`, a block of formatted numbers, if none of them is NaN or
+    infinite: those format as nan, inf and -inf, and no finite number
+    contains an "n"."""
+    if "n" in text:
+        raise ValueError("dumps_17g cannot write a NaN or infinite float: "
+                         "JSON has no token for it")
+    return text
 
 
 def _is_number(t: type) -> bool:

@@ -5,6 +5,8 @@ and the grid engine must agree cell by cell (they share one batch kernel),
 and basin labels must be locally constant away from boundaries (basins of
 attracting sets are open).
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -299,14 +301,32 @@ def test_scalar_stream_evolve_is_bitwise_the_step_loop(n_steps):
     rng = np.random.default_rng(n_steps)
     for b, R in [(-1.864, 4.0), (-1.864, 1.0), (-2.0, 4.0), (0.25, 1.5)]:
         X, Y, Z = _start_batch(rng, R)
+        every = np.arange(X.size)
+        some = np.sort(rng.permutation(X.size)[:40])
         for tail_n in (1, 2, n_steps, n_steps + 5):
-            esc, tails = basins._evolve(X, Y, Z, b, n_steps, tail_n, R)
+            esc, streams = basins._evolve(X, Y, Z, b, n_steps, tail_n, R)
             esc_ref, tails_ref = _evolve_by_steps(X, Y, Z, b, n_steps,
                                                   tail_n, R)
             assert np.array_equal(esc, esc_ref)
-            assert tails.shape == tails_ref.shape
-            assert np.array_equal(tails.view(np.int64),
-                                  tails_ref.view(np.int64))
+            assert streams.samples == tails_ref.shape[1]
+            for t in range(streams.samples):
+                for cells in (every, some, every[:0]):
+                    got = streams.sample(cells, t)
+                    assert got.shape == (cells.size, 3)
+                    assert np.array_equal(got.view(np.int64),
+                                          tails_ref[cells, t].view(np.int64))
+
+
+class _TensorTails:
+    """A full (cells, samples, 3) tail tensor behind the per-sample gather
+    that `basins._match_tails` reads."""
+
+    def __init__(self, tails):
+        self.tails = tails
+        self.samples = tails.shape[1]
+
+    def sample(self, cells, t):
+        return self.tails[cells, t]
 
 
 def _point_attractor(id_, pt):
@@ -333,10 +353,12 @@ def test_early_stop_matcher_edge_cases_match_the_full_query():
         for cat in (cats, cats[::-1], cats[:1], []):
             for mask in (bounded, np.zeros(4, dtype=bool),
                          np.array([True, False, True, False])):
-                got = basins._match_tails(tails, mask, tuple(cat), tol)
+                got = basins._match_tails(_TensorTails(tails), mask,
+                                          tuple(cat), tol)
                 ref = _match_tails_by_full_query(tails, mask, tuple(cat), tol)
                 assert np.array_equal(got, ref), (tol, len(cat), mask)
-    labels = basins._match_tails(tails, bounded, tuple(cats), 0.25)
+    labels = basins._match_tails(_TensorTails(tails), bounded, tuple(cats),
+                                 0.25)
     assert labels[0] == UNDECIDED       # exactly at the tolerance is out
     assert labels[2] == 9               # tie: the first attractor wins
 
@@ -351,9 +373,31 @@ def test_early_stop_matcher_random_clouds_match_the_full_query():
     tails = rng.normal(0, 0.5, size=(500, 16, 3))
     bounded = rng.random(500) < 0.9
     for tol in (0.02, 0.1, 0.3, 1.0, np.inf):
-        got = basins._match_tails(tails, bounded, cats, tol)
+        got = basins._match_tails(_TensorTails(tails), bounded, cats, tol)
         ref = _match_tails_by_full_query(tails, bounded, cats, tol)
         assert np.array_equal(got, ref), tol
+
+
+def _hausdorff_sup_by_full_query(A, B):
+    # every point of each set against the other set, unbounded
+    da = cKDTree(B).query(A, k=1, p=np.inf)[0].max()
+    db = cKDTree(A).query(B, k=1, p=np.inf)[0].max()
+    return max(da, db)
+
+
+def test_bounded_hausdorff_test_matches_the_full_query():
+    # subsets make the two directions differ: A[:40] is within 0 of A, but
+    # A has points far from A[:40]
+    rng = np.random.default_rng(3)
+    A = rng.normal(0, 0.5, size=(300, 3))
+    sets = (A, A[:40], A + 0.01, np.vstack([A, [[3.0, 0.0, 0.0]]]),
+            rng.normal(0, 0.5, size=(200, 3)))
+    for P in sets:
+        for Q in sets:
+            h = _hausdorff_sup_by_full_query(P, Q)
+            for tol in (0.0, h, np.nextafter(h, np.inf), 0.05, 0.3, 5.0,
+                        np.inf):
+                assert basins._within_hausdorff(P, Q, tol) == (h < tol)
 
 
 @pytest.mark.parametrize("fixed_axis", ["x", "y", "z"])
@@ -377,10 +421,37 @@ def test_slice_labels_match_the_reference_kernels(monkeypatch, fixed_axis):
     ({"max_iter": -1}, "max_iter"),
     ({"transient": -1}, "transient"),
     ({"max_iter": 0, "transient": 0}, "max_iter + transient"),
+    ({"signature_samples": 0}, "signature_samples"),
+    ({"match_tol": 0.0}, "match_tol"),
+    ({"match_tol": -0.25}, "match_tol"),
+    ({"match_tol": float("nan")}, "match_tol"),
 ])
 def test_options_reject_empty_tails(kwargs, field):
     with pytest.raises(ValueError, match=field.replace("+", r"\+")):
         BasinOptions(**kwargs)
+
+
+@pytest.mark.parametrize("b, options", [(-1.864, BASIN_CHECK_OPTIONS),
+                                        (-1.3, BasinOptions())])
+def test_slice_traced_peak_stays_below_3mb(b, options):
+    # tail samples are gathered per sample from the stream table: the
+    # (cells, tail_samples, 3) tail tensor alone would be 3.84 MB here
+    assert options.tail_samples == 16
+    params = Params(b)
+    cat = build_catalog(params, options=options)
+    spec = SliceSpec(nu=100, nv=100)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        basin_slice(params, spec, cat, options)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3e6
 
 
 # ---------------------------------------------------------------------------

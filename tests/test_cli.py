@@ -101,6 +101,17 @@ def test_census_period_six():
     assert all(c["period"] == 6 for c in pay["cycles"])
 
 
+def test_census_rejects_an_infinite_interval_end(tmp_path):
+    # no orbit can be found over an infinite interval, and JSON has no -inf
+    out = tmp_path / "census.json"
+    r = run("census", "--b", "-1", "--period", "6", "--interval=-inf,2",
+            "--out", str(out))
+    assert r.returncode == 1
+    assert "interval ends must be finite" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert not out.exists()
+
+
 def test_census_past_the_scalar_wrap():
     # at b = -2.1 all necklace(11) = 186 scalar 11-cycles are real
     r = run("census", "--b", "-2.1", "--period", "11")
@@ -233,6 +244,9 @@ def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
 @pytest.mark.parametrize("flags, field", [
     (("--tail-samples", "0"), "tail_samples"),
     (("--max-iter", "0", "--transient", "0"), "max_iter + transient"),
+    (("--signature-samples", "0"), "signature_samples"),
+    (("--match-tol", "0"), "match_tol"),
+    (("--match-tol", "nan"), "match_tol"),
 ])
 def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
     csv = tmp_path / "basin.csv"

@@ -80,6 +80,16 @@ def test_minimal_period_filter_drops_fixed_points():
         assert len(set(c.points)) == 2
 
 
+@pytest.mark.parametrize("interval", [(-math.inf, 2.0), (-2.0, math.inf),
+                                      (math.nan, 2.0), (-math.inf, math.inf)])
+def test_find_cycles_rejects_non_finite_interval_ends(interval):
+    # a grid over an infinite end is all NaN, so no cycle could be found
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            find_cycles_1d(Params(-1.0), 2, interval=interval)
+
+
 def test_cycle1d_points_are_min_first():
     for n in (1, 2, 4):
         for c in find_cycles_1d(Params(-1.3), n):

@@ -182,6 +182,8 @@ def test_basin_sidecar_keys():
 def _ref_num(v) -> str:
     if isinstance(v, int) and not isinstance(v, bool):
         return str(v)
+    if not math.isfinite(v):
+        raise ValueError("non-finite")
     return fmt(v)
 
 
@@ -382,14 +384,70 @@ json_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_trees)
 def test_dumps_17g_matches_reference(obj):
-    assert dumps_17g(obj) == _ref_dumps_17g(obj)
+    _assert_matches_reference(obj)
+
+
+def _assert_matches_reference(obj):
+    # the reference raises ValueError on the first non-finite float
+    try:
+        ref = _ref_dumps_17g(obj)
+    except ValueError:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dumps_17g(obj)
+    else:
+        assert dumps_17g(obj) == ref
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(values, st.integers()), min_size=1, max_size=8))
 def test_dumps_17g_number_lists_match_reference(xs):
     # ints past 2**53 are written in full, not rounded to 17 digits
-    assert dumps_17g(xs) == _ref_dumps_17g(xs)
+    _assert_matches_reference(xs)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite_trees = st.recursive(
+    st.one_of(finite, finite.map(np.float64), st.integers(), st.booleans(),
+              st.none(), st.text(max_size=8)),
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(st.text(max_size=5) | ints, kids,
+                                           max_size=5)),
+    max_leaves=30)
+
+
+def _as_json_reads_it(obj):
+    if isinstance(obj, dict):
+        return {str(k): _as_json_reads_it(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_json_reads_it(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
+def _no_constants(name):
+    raise AssertionError(f"JSON readers reject {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_trees)
+def test_dumps_17g_round_trips_through_a_strict_json_reader(obj):
+    back = json.loads(dumps_17g(obj), parse_constant=_no_constants)
+    assert back == _as_json_reads_it(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [
+    lambda v: v,                       # a lone float
+    lambda v: {"x": [0.5, v, 1.5]},    # an all-float list
+    lambda v: [1, v],                  # a mixed number list
+    lambda v: {"x": np.float64(v)},    # a numpy float
+    lambda v: [[0.25], {"y": (v,)}],   # nested
+])
+def test_dumps_17g_rejects_non_finite_floats(bad, wrap):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        dumps_17g(wrap(bad))
 
 
 def test_dumps_17g_writes_numpy_scalars_as_numbers():
