@@ -7,7 +7,8 @@ diagonal cocycle products and closed-form critical planes possible; the
 modules here exploit that structure throughout.
 """
 from .core import (ESCAPE_RADIUS, Params, Point3, apply_T, apply_T_n,
-                   as_point, escape_radius, h1d, h1d_n, jacobian_T, orbit)
+                   as_point, escape_radius, h1d, h1d_n, jacobian_T, orbit,
+                   search_interval)
 from .errors import (Diverged, LiftValidationFailed, NoEventInBracket,
                      NoRealFixedPoints, Overflow, PaletteMissingLabel,
                      PeriodDivisibleBy3, ToolkitError)

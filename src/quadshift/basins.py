@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Params, Point3, escape_radius
-from .errors import PaletteMissingLabel
+from .core import Params, Point3, escape_radius, orbit
+from .errors import Diverged, PaletteMissingLabel
 
 DIVERGENT = -1
 UNDECIDED = -2
@@ -257,33 +257,22 @@ def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
 
 
 def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
-    """(kind, period, signature) of the seed's limit set, or None on escape."""
-    b = params.b
-    R = escape_radius(b)
-    x, y, z = seed.x, seed.y, seed.z
-    for _ in range(options.transient):
-        if abs(x) > R or abs(y) > R or abs(z) > R:
-            return None
-        x, y, z = y, z, x * x + b
-    probe = [(x, y, z)]
-    for _ in range(CYCLE_SEARCH):
-        if abs(x) > R or abs(y) > R or abs(z) > R:
-            return None
-        x, y, z = y, z, x * x + b
-        probe.append((x, y, z))
+    """(kind, period, signature) of the seed's limit set, or None when a
+    state it records, or one before them, leaves the escape ball."""
+    try:
+        probe = orbit(seed, params,
+                      max(CYCLE_SEARCH + 1, options.signature_samples),
+                      options.transient)
+    except Diverged:
+        return None
     p0 = probe[0]
     for k in range(1, CYCLE_SEARCH + 1):
-        if max(abs(probe[k][0] - p0[0]), abs(probe[k][1] - p0[1]),
-               abs(probe[k][2] - p0[2])) < CYCLE_TOL:
-            pts = probe[:k]
+        if max(abs(probe[k].x - p0.x), abs(probe[k].y - p0.y),
+               abs(probe[k].z - p0.z)) < CYCLE_TOL:
             kind = "fixed_point" if k == 1 else "cycle"
-            return kind, k, np.array(pts)
-    while len(probe) < options.signature_samples:   # on from probe[-1]
-        if abs(x) > R or abs(y) > R or abs(z) > R:
-            return None
-        x, y, z = y, z, x * x + b
-        probe.append((x, y, z))
-    return "chaotic", None, np.array(probe[: options.signature_samples])
+            return kind, k, np.array([tuple(p) for p in probe[:k]])
+    return "chaotic", None, np.array(
+        [tuple(p) for p in probe[:options.signature_samples]])
 
 
 def _within_hausdorff(A, B, tol):

@@ -4,7 +4,8 @@ A fold or flip of a period-n cycle of H(u) = u^2 + b is a point (x, b)
 where x lies on a minimal period-n cycle whose multiplier (H^n)'(x) is +1
 or -1: two regular equations in the two unknowns.  Both locators solve
 them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) with analytic
-derivatives, started from the cycles found at the bracket ends.  A start
+derivatives, started from the cycles `find_cycles_1d` finds at the
+bracket ends, each end over its own `search_interval(b)`.  A start
 counts only if it lands inside the bracket on a minimal period-n cycle
 with the target multiplier.  A cycle born with count step 1 is a doubling
 birth, where the tangency system is singular; it is located as the flip
@@ -114,17 +115,18 @@ def _first_event(kind, n, starts, target, b_bracket):
     return None
 
 
-def _cycles_at_ends(n, b_bracket, interval):
+def _cycles_at_ends(n, b_bracket):
     lo, hi = b_bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    return [find_cycles_1d(Params(b), n, interval) for b in (lo, hi)]
+    return [find_cycles_1d(Params(b), n) for b in (lo, hi)]
 
 
-def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
+def find_flip(n, b_bracket) -> BifurcationEvent:
     """Parameter where a period-n multiplier crosses -1 inside the bracket;
-    every cycle found at either end is a start for the polish."""
-    ends = _cycles_at_ends(n, b_bracket, interval)
+    every cycle found at either end, over that end's search interval, is a
+    start for the polish."""
+    ends = _cycles_at_ends(n, b_bracket)
     starts = [(cy, b) for b, cycles in zip(b_bracket, ends) for cy in cycles]
     ev = _first_event("flip", n, starts, -1.0, b_bracket)
     if ev is None:
@@ -133,7 +135,7 @@ def find_flip(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
     return ev
 
 
-def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
+def find_fold(n, b_bracket) -> BifurcationEvent:
     """Parameter where a period-n cycle is born inside the bracket.
 
     The bracket is closed: a fold on either end counts.  A count step of
@@ -144,7 +146,7 @@ def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
     period-doubling birth, located as the flip of the period-n/2 parent
     branch.
     """
-    ends = _cycles_at_ends(n, b_bracket, interval)
+    ends = _cycles_at_ends(n, b_bracket)
     c_lo, c_hi = (len(cycles) for cycles in ends)
     if c_lo == c_hi:
         raise NoEventInBracket(
@@ -160,7 +162,7 @@ def find_fold(n, b_bracket, interval=(-2.5, 2.5)) -> BifurcationEvent:
         raise NoEventInBracket(
             f"period-{n} count changes by {step} across {b_bracket}, "
             "but no tangency was located inside it")
-    parent = find_flip(n // 2, b_bracket, interval)
+    parent = find_flip(n // 2, b_bracket)
     return BifurcationEvent(kind="fold", period=n, b_star=parent.b_star,
                             x_star=parent.x_star)
 
@@ -194,7 +196,7 @@ def event_residuals(ev: BifurcationEvent):
 # branch sweeps and diagrams
 
 
-def multiplier_curve(n, b_range, steps, interval=(-2.5, 2.5)) -> list:
+def multiplier_curve(n, b_range, steps) -> list:
     """Track period-n branches across a parameter grid by nearest-point
     matching; emits one Branch per tracked cycle.  Branches die at folds
     (that is normal); when two live branches claim the same cycle the grid
@@ -206,7 +208,7 @@ def multiplier_curve(n, b_range, steps, interval=(-2.5, 2.5)) -> list:
     done = []
     for k in range(steps):
         b = b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
-        cycles = find_cycles_1d(Params(b), n, interval)
+        cycles = find_cycles_1d(Params(b), n)
         claimed = {}
         next_live = []
         for br in live:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcations, basins, critical, cycles, serialize
-from .core import Params, Point3, orbit
+from .core import Params, Point3, orbit, search_interval
 from .errors import ToolkitError
 from .lyapunov import lyapunov_spectrum
 
@@ -126,11 +126,10 @@ def _cmd_fixed_points(args):
 
 def _cmd_cycles_1d(args):
     cfg = {"subcommand": "cycles-1d", "b": args.b, "period": args.period,
-           "interval": list(args.interval), "grid_points": args.grid_points}
+           "interval": list(search_interval(args.b)),
+           "grid_points": cycles.GRID_POINTS}
     _echo(cfg)
-    found = cycles.find_cycles_1d(Params(args.b), args.period,
-                                  interval=args.interval,
-                                  grid_points=args.grid_points)
+    found = cycles.find_cycles_1d(Params(args.b), args.period)
     _deliver(serialize.cycles1d_csv(found), args.out)
     return 0
 
@@ -144,15 +143,14 @@ def _cmd_lift(args):
     cfg = {"subcommand": "lift", "b": args.b, "periods": list(periods),
            "times3": bool(args.times3)}
     _echo(cfg)
-    params = Params(args.b)
-    by_p = {n: cycles.find_cycles_1d(params, n) for n in set(periods)}
+    by_p = {n: cycles.find_cycles_1d(Params(args.b), n) for n in set(periods)}
     found = []
     if len(periods) == 1:
         for X in by_p[periods[0]]:
             if args.times3:
-                found.extend(cycles.lift_homogeneous_3n(X, params))
+                found.extend(cycles.lift_homogeneous_3n(X))
             else:
-                found.append(cycles.lift_homogeneous(X, params))
+                found.append(cycles.lift_homogeneous(X))
     elif len(periods) == 2:
         n, m = periods
         if n == m:
@@ -160,7 +158,7 @@ def _cmd_lift(args):
         else:
             combos = itertools.product(by_p[n], by_p[m])
         for A, B in combos:
-            found.extend(cycles.lift_mixed_pair(A, B, params))
+            found.extend(cycles.lift_mixed_pair(A, B))
     else:
         # a source is (period, index in its find_cycles_1d list)
         seen = set()
@@ -171,7 +169,7 @@ def _cmd_lift(args):
                 continue
             seen.add(key)
             found.extend(cycles.lift_mixed_triple(
-                *(by_p[n][i] for n, i in trio), params=params))
+                *(by_p[n][i] for n, i in trio)))
     found = _sorted_cycles3d(found)
     _deliver(serialize.dumps_17g(_cycles3d_payload(args.b, cfg, found)),
              args.out)
@@ -180,9 +178,9 @@ def _cmd_lift(args):
 
 def _cmd_census(args):
     cfg = {"subcommand": "census", "b": args.b, "period": args.period,
-           "interval": list(args.interval)}
+           "interval": list(search_interval(args.b))}
     _echo(cfg)
-    found = cycles.census(Params(args.b), args.period, interval=args.interval)
+    found = cycles.census(Params(args.b), args.period)
     homog = sum(1 for c in found
                 if c.provenance.kind.startswith("homogeneous"))
     payload = {
@@ -204,11 +202,9 @@ def _cmd_bifurcations(args):
     if args.kind == "transcritical":
         ev = bifurcations.find_transcritical(args.bracket)
     elif args.kind == "fold":
-        ev = bifurcations.find_fold(args.period, args.bracket,
-                                    interval=args.interval)
+        ev = bifurcations.find_fold(args.period, args.bracket)
     else:
-        ev = bifurcations.find_flip(args.period, args.bracket,
-                                    interval=args.interval)
+        ev = bifurcations.find_flip(args.period, args.bracket)
     _deliver(serialize.events_csv([ev]), args.out)
     return 0
 
@@ -385,11 +381,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = cmd("cycles-1d", _cmd_cycles_1d,
-            "periodic points of the scalar kick map (CSV)")
+            "periodic points of the scalar kick map (CSV), searched over "
+            "[-w, w] with w = max(2.5, beta(b)), beta the larger fixed point")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--interval", type=_pair, default=(-2.5, 2.5))
-    p.add_argument("--grid-points", type=int, default=20001)
     p.add_argument("--out")
 
     p = cmd("lift", _cmd_lift,
@@ -403,20 +398,21 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = cmd("census", _cmd_census,
-            "all 3D cycles of one period, grouped by construction (JSON)")
+            "all 3D cycles of one period, grouped by construction (JSON); "
+            "scalar cycles are searched as for cycles-1d")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--interval", type=_pair, default=(-2.5, 2.5))
     p.add_argument("--out")
 
     p = cmd("bifurcations", _cmd_bifurcations,
-            "locate a fold/flip/transcritical event in a parameter bracket (CSV)")
+            "locate a fold/flip/transcritical event in a parameter bracket "
+            "(CSV), starting from the cycles found at each end as for "
+            "cycles-1d")
     p.add_argument("--kind", choices=("fold", "flip", "transcritical"),
                    required=True)
     p.add_argument("--period", type=int, default=1)
     p.add_argument("--bracket", type=_pair, required=True,
                    help="parameter bracket LO,HI")
-    p.add_argument("--interval", type=_pair, default=(-2.5, 2.5))
     p.add_argument("--out")
 
     p = cmd("diagram", _cmd_diagram, "orbit diagram over a parameter sweep (CSV)")

@@ -7,7 +7,8 @@ module in the package leans on that.
 
 Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
 coordinate grows without bound, so orbits, spectra, diagrams and basins
-all test escape against one radius per parameter, `escape_radius(b)`.
+all test escape against one radius per parameter, `escape_radius(b)`, and
+the scalar cycle search covers `search_interval(b)`, which holds [-beta, beta].
 """
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ from .errors import Diverged, Overflow
 # |x| > R grows monotonically under x -> x^2 + b iff R >= beta(b), and
 # beta(b) <= 4 exactly for b >= -12; outputs keep this radius there.
 ESCAPE_RADIUS = 4.0
+
+# the cycle search interval's half-width until beta(b) passes it at b = -3.75
+SEARCH_HALF_WIDTH = 2.5
 
 # A 3x3 Jacobian; row-major numpy array, entries finite.
 Mat3 = np.ndarray
@@ -53,18 +57,31 @@ class Point3:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
 
-def escape_radius(b: float) -> float:
-    """The escape radius at parameter b: max(ESCAPE_RADIUS, beta(b)).
+def _cover_beta(r: float, b: float) -> float:
+    """max(r, beta(b)), or r for b > 1/4, where there is no fixed point.
 
     beta is the larger fixed point bit for bit as floats give it (0.5 +
     sqrt(0.25 - b) equals 0.5 + 0.5*sqrt(1 - 4b), and never overflows), so
-    (beta, beta, beta) lies inside the ball even when rounding puts it
-    above the exact beta.  Without fixed points (b > 1/4) every orbit
-    escapes and ESCAPE_RADIUS stands.
+    the float fixed point is covered even when rounding puts it above the
+    exact beta.
     """
     if b > 0.25:
-        return ESCAPE_RADIUS
-    return max(ESCAPE_RADIUS, 0.5 + math.sqrt(0.25 - b))
+        return r
+    return max(r, 0.5 + math.sqrt(0.25 - b))
+
+
+def escape_radius(b: float) -> float:
+    """The escape radius at parameter b: max(ESCAPE_RADIUS, beta(b)), so
+    (beta, beta, beta) lies inside the ball."""
+    return _cover_beta(ESCAPE_RADIUS, b)
+
+
+def search_interval(b: float) -> tuple:
+    """The scalar cycle search interval at parameter b: (-w, w) with
+    w = max(SEARCH_HALF_WIDTH, beta(b)), so it holds [-beta, beta], where
+    every bounded scalar orbit lies."""
+    w = _cover_beta(SEARCH_HALF_WIDTH, b)
+    return -w, w
 
 
 def as_point(seq) -> Point3:

@@ -19,13 +19,14 @@ from math import lcm, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, h1d_n
+from .core import Params, Point3, h1d_n, search_interval
 from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
 CLOSURE_TOL = 1e-10     # a source point x maps within this * max(1, x^2) of the next
 DEGENERATE_TOL = 1e-7   # distinct cycles closer than this get flagged, not merged
 ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
+GRID_POINTS = 20001     # sign-change grid over the search interval
 
 
 @dataclass(frozen=True)
@@ -224,29 +225,25 @@ def _degenerate_flags(keys):
     return flags
 
 
-def find_cycles_1d(params: Params, n: int, interval=(-2.5, 2.5),
-                   grid_points: int = 20001) -> list:
-    """All minimal-period-n orbits of the scalar map inside the interval.
+def find_cycles_1d(params: Params, n: int) -> list:
+    """All minimal-period-n orbits of the scalar map.
 
-    Sign changes of H^n(x) - x on a uniform grid are bisected, all brackets
-    at once, then polished by one array Newton that stops each entry where
-    the scalar `_newton_1d` would; local minima of |H^n(x) - x| below 1e-3
-    seed extra scalar Newton runs so tangent roots at folds are not silently
-    missed.  Roots whose minimal period properly divides n are discarded.
-    Orbits are deduplicated on sorted points, comparing only orbits whose
-    smallest points fall in a window around each other (the first root
-    found wins), and near-coincident cycles get a degenerate flag.
+    The search covers `search_interval(b)`, which holds every bounded
+    scalar orbit.  Sign changes of H^n(x) - x on a uniform grid of
+    GRID_POINTS points are bisected, all brackets at once, then polished by
+    one array Newton that stops each entry where the scalar `_newton_1d`
+    would; local minima of |H^n(x) - x| below 1e-3 seed extra scalar Newton
+    runs so tangent roots at folds are not silently missed.  Roots whose
+    minimal period properly divides n are discarded.  Orbits are
+    deduplicated on sorted points, comparing only orbits whose smallest
+    points fall in a window around each other (the first root found wins),
+    and near-coincident cycles get a degenerate flag.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
-    lo, hi = interval
-    # a grid over an infinite end is all NaN and finds nothing
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"interval ends must be finite, got ({lo}, {hi})")
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
     b = params.b
-    xs = np.linspace(lo, hi, grid_points)
+    lo, hi = search_interval(b)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     with np.errstate(over="ignore"):
         # grid points beyond beta escape to +inf, which has the right sign
         f = h1d_n(xs, params, n) - xs
@@ -336,10 +333,10 @@ def cycle3d_key(pts):
     return tuple(sorted(tuple(p) for p in pts))
 
 
-def _check_source(X: Cycle1D, b: float):
+def _check_source(X: Cycle1D):
     """Raise LiftValidationFailed unless X is a cycle of minimal period
-    X.period of the scalar map at parameter b."""
-    pts, n = X.points, X.period
+    X.period of the scalar map at its parameter X.b."""
+    pts, n, b = X.points, X.period, X.b
     label = cycle1d_label(X)
     if len(pts) != n:
         raise LiftValidationFailed(
@@ -355,17 +352,18 @@ def _check_source(X: Cycle1D, b: float):
                 f"source {label} has period {d}, not the stated {n}")
 
 
-def _cycle3d(pts, params: Params, kind: str, labels: tuple) -> Cycle3D:
+def _cycle3d(pts, b: float, kind: str, labels: tuple) -> Cycle3D:
     pts = _canonical_rotation_3d(pts)
-    eig, tag = classify_stability(pts, params.b)
+    eig, tag = classify_stability(pts, b)
     prov = Provenance(kind=kind, sources=labels, seed=pts[0])
-    return Cycle3D(b=params.b, period=len(pts), points=pts, eigenvalues=eig,
+    return Cycle3D(b=b, period=len(pts), points=pts, eigenvalues=eig,
                    stability=tag, provenance=prov)
 
 
-def _lift_orbits(sources, params: Params, period: int, kind: str) -> list:
+def _lift_orbits(sources, period: int, kind: str) -> list:
     """Every 3D cycle of minimal period `period` whose coordinates run
-    through all of the given scalar cycles and no others.
+    through all of the given scalar cycles and no others; the sources
+    share one parameter b.
 
     A state is an index triple into the sources' points laid end to end,
     and T sends (i, j, k) to (j, k, nxt[i]), where nxt[i] is the next point
@@ -374,7 +372,7 @@ def _lift_orbits(sources, params: Params, period: int, kind: str) -> list:
     start and no orbit is met twice.
     """
     for X in sources:
-        _check_source(X, params.b)
+        _check_source(X)
     vals, owner, nxt = [], [], []
     for s, X in enumerate(sources):
         base, n = len(vals), X.period
@@ -394,7 +392,7 @@ def _lift_orbits(sources, params: Params, period: int, kind: str) -> list:
             state = (j, k, nxt[i])
         if len(orb) == period:
             pts = [Point3(vals[i], vals[j], vals[k]) for i, j, k in orb]
-            out.append(_cycle3d(pts, params, kind, labels))
+            out.append(_cycle3d(pts, sources[0].b, kind, labels))
     return out
 
 
@@ -415,7 +413,7 @@ def fixed_point_cycles_1d(params: Params):
 
 def fixed_points_T(params: Params):
     """Both fixed points of the 3D map, larger first, with stability."""
-    return tuple(_cycle3d((Point3(x, x, x),), params, "homogeneous",
+    return tuple(_cycle3d((Point3(x, x, x),), params.b, "homogeneous",
                           (cycle1d_label(c),))
                  for c in fixed_point_cycles_1d(params) for x in c.points)
 
@@ -424,35 +422,31 @@ def fixed_points_T(params: Params):
 # lifts
 
 
-def lift_homogeneous(X: Cycle1D, params: Params = None) -> Cycle3D:
+def lift_homogeneous(X: Cycle1D) -> Cycle3D:
     """The single 3D cycle of period n riding one scalar n-cycle (3 must not
     divide n): with t = 3^-1 mod n, state k is (X[kt], X[(k+1)t], X[(k+2)t]),
     as X[kt + 1] = X[(k+3)t].  Raises LiftValidationFailed unless X is a
-    minimal-period-n scalar cycle at the parameter."""
-    if params is None:
-        params = Params(X.b)
+    minimal-period-n scalar cycle at its parameter X.b."""
     n = X.period
     if n % 3 == 0:
         raise PeriodDivisibleBy3(f"period {n} is divisible by 3; use the 3n lift")
-    _check_source(X, params.b)
+    _check_source(X)
     t = pow(3, -1, n)
     P = X.points
     pts = [Point3(P[k * t % n], P[(k + 1) * t % n], P[(k + 2) * t % n])
            for k in range(n)]
-    return _cycle3d(pts, params, "homogeneous", (cycle1d_label(X),))
+    return _cycle3d(pts, X.b, "homogeneous", (cycle1d_label(X),))
 
 
-def lift_homogeneous_3n(X: Cycle1D, params: Params = None) -> list:
+def lift_homogeneous_3n(X: Cycle1D) -> list:
     """All homogeneous period-3n cycles built on one scalar n-cycle: the
     orbits of minimal period 3n among its n^3 phase triples.  Raises
-    LiftValidationFailed unless X is a minimal-period-n scalar cycle at the
-    parameter."""
-    if params is None:
-        params = Params(X.b)
+    LiftValidationFailed unless X is a minimal-period-n scalar cycle at its
+    parameter X.b."""
     n = X.period
     if n < 2:
         raise ValueError("the 3n lift needs a source cycle of period >= 2")
-    return _lift_orbits((X,), params, 3 * n, "homogeneous_3n")
+    return _lift_orbits((X,), 3 * n, "homogeneous_3n")
 
 
 def _check_coexisting(cycles):
@@ -467,28 +461,22 @@ def _check_coexisting(cycles):
                 raise ValueError("source cycles must be distinct")
 
 
-def lift_mixed_pair(A: Cycle1D, B: Cycle1D, params: Params = None) -> list:
-    """All mixed cycles woven from two coexisting scalar cycles: with
-    n = A.period, m = B.period, s = lcm(n, m), (n+m)*n*m/s cycles of period
-    3s.  Raises LiftValidationFailed unless both are minimal-period scalar
-    cycles at the parameter."""
+def lift_mixed_pair(A: Cycle1D, B: Cycle1D) -> list:
+    """All mixed cycles woven from two coexisting scalar cycles (one b):
+    with n = A.period, m = B.period, s = lcm(n, m), (n+m)*n*m/s cycles of
+    period 3s.  Raises LiftValidationFailed unless both are minimal-period
+    scalar cycles at that b."""
     _check_coexisting((A, B))
-    if params is None:
-        params = Params(A.b)
-    return _lift_orbits((A, B), params, 3 * lcm(A.period, B.period),
-                        "mixed_pair")
+    return _lift_orbits((A, B), 3 * lcm(A.period, B.period), "mixed_pair")
 
 
-def lift_mixed_triple(A: Cycle1D, B: Cycle1D, C: Cycle1D,
-                      params: Params = None) -> list:
+def lift_mixed_triple(A: Cycle1D, B: Cycle1D, C: Cycle1D) -> list:
     """All mixed cycles woven from three pairwise-distinct coexisting scalar
     cycles; period 3*lcm(n, m, p), count 2*n*m*p/lcm(n, m, p).  Raises
     LiftValidationFailed as lift_mixed_pair does."""
     _check_coexisting((A, B, C))
-    if params is None:
-        params = Params(A.b)
-    return _lift_orbits((A, B, C), params,
-                        3 * lcm(A.period, B.period, C.period), "mixed_triple")
+    return _lift_orbits((A, B, C), 3 * lcm(A.period, B.period, C.period),
+                        "mixed_triple")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +487,7 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def census(params: Params, period: int, interval=(-2.5, 2.5)) -> list:
+def census(params: Params, period: int) -> list:
     """Every 3D cycle of the given minimal period, assembled from scalar
     cycles through the lifts, sorted by first point.
 
@@ -510,22 +498,21 @@ def census(params: Params, period: int, interval=(-2.5, 2.5)) -> list:
     orbit rides exactly one combination, so none is lifted twice.
     """
     if period % 3 != 0:
-        return [lift_homogeneous(X, params)
-                for X in find_cycles_1d(params, period, interval)]
+        return [lift_homogeneous(X) for X in find_cycles_1d(params, period)]
     s = period // 3
     pool = []
     for dd in _divisors(s):
-        pool.extend(find_cycles_1d(params, dd, interval))
+        pool.extend(find_cycles_1d(params, dd))
     out = []
     if s >= 2:
         for X in pool:
             if X.period == s:
-                out.extend(lift_homogeneous_3n(X, params))
+                out.extend(lift_homogeneous_3n(X))
     for A, B in itertools.combinations(pool, 2):
         if lcm(A.period, B.period) == s:
-            out.extend(lift_mixed_pair(A, B, params))
+            out.extend(lift_mixed_pair(A, B))
     for A, B, C in itertools.combinations(pool, 3):
         if lcm(A.period, B.period, C.period) == s:
-            out.extend(lift_mixed_triple(A, B, C, params))
+            out.extend(lift_mixed_triple(A, B, C))
     out.sort(key=lambda c: tuple(c.points[0]))
     return out

@@ -84,11 +84,11 @@ def test_criterion_04_period_six_census_at_minus_one():
     x1, x2 = find_cycles_1d(params, 1)
     (c2,) = find_cycles_1d(params, 2)
 
-    homog = lift_homogeneous_3n(c2, params)
-    pairs = (lift_mixed_pair(x1, x2, params)
-             + lift_mixed_pair(x1, c2, params)
-             + lift_mixed_pair(x2, c2, params))
-    triples = lift_mixed_triple(x1, x2, c2, params)
+    homog = lift_homogeneous_3n(c2)
+    pairs = (lift_mixed_pair(x1, x2)
+             + lift_mixed_pair(x1, c2)
+             + lift_mixed_pair(x2, c2))
+    triples = lift_mixed_triple(x1, x2, c2)
     group_counts = (len(homog), len(pairs), len(triples))
 
     union = {}
@@ -144,15 +144,15 @@ def test_criterion_05_count_formulas():
     (d4,) = find_cycles_1d(p13, 4)
 
     checks = [
-        ("pair(1,1)", len(lift_mixed_pair(x1, x2, p1)), pair_n(1, 1)),
-        ("pair(1,2)", len(lift_mixed_pair(x1, c2, p1)), pair_n(1, 2)),
-        ("pair(1,4)", len(lift_mixed_pair(y1, d4, p13)), pair_n(1, 4)),
-        ("pair(2,4)", len(lift_mixed_pair(d2, d4, p13)), pair_n(2, 4)),
-        ("triple(1,1,2)", len(lift_mixed_triple(x1, x2, c2, p1)),
+        ("pair(1,1)", len(lift_mixed_pair(x1, x2)), pair_n(1, 1)),
+        ("pair(1,2)", len(lift_mixed_pair(x1, c2)), pair_n(1, 2)),
+        ("pair(1,4)", len(lift_mixed_pair(y1, d4)), pair_n(1, 4)),
+        ("pair(2,4)", len(lift_mixed_pair(d2, d4)), pair_n(2, 4)),
+        ("triple(1,1,2)", len(lift_mixed_triple(x1, x2, c2)),
          triple_n(1, 1, 2)),
-        ("triple(1,1,4)", len(lift_mixed_triple(y1, y2, d4, p13)),
+        ("triple(1,1,4)", len(lift_mixed_triple(y1, y2, d4)),
          triple_n(1, 1, 4)),
-        ("triple(1,2,4)", len(lift_mixed_triple(y1, d2, d4, p13)),
+        ("triple(1,2,4)", len(lift_mixed_triple(y1, d2, d4)),
          triple_n(1, 2, 4)),
     ]
     ok = all(got == want for _, got, want in checks)

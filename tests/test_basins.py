@@ -12,9 +12,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from quadshift import (DIVERGENT, UNDECIDED, Attractor, BasinGrid,
-                       BasinOptions, PaletteMissingLabel, Params, Point3,
-                       SliceSpec, basin_slice, basins, build_catalog,
-                       classify_point, default_palette, default_seeds,
+                       BasinOptions, Diverged, PaletteMissingLabel, Params,
+                       Point3, SliceSpec, basin_slice, basins, build_catalog,
+                       classify_point, default_palette, default_seeds, orbit,
                        render_grid)
 
 from conftest import BASIN_CHECK_OPTIONS
@@ -60,6 +60,20 @@ def test_catalog_drops_divergent_seeds():
     cat = build_catalog(params, seeds=[Point3(5.0, 5.0, 5.0),
                                        Point3(0.1, 0.0, 0.0)])
     assert len(cat) == 1
+
+
+def test_catalog_drops_a_seed_whose_last_recorded_state_escapes():
+    # the orbit leaves the escape ball exactly at the last of the 67
+    # signature states; the seed diverges, so it names no attractor
+    params = Params(-2.0)
+    options = BasinOptions(transient=0, signature_samples=67)
+    seed = Point3(0.0, 0.0, 2.0000000000001195)
+    with pytest.raises(Diverged) as exc:
+        orbit(seed, params, 67)
+    assert exc.value.step == 66
+    assert build_catalog(params, seeds=[seed], options=options) == []
+    cat = build_catalog(params, options=options)
+    assert classify_point(seed, params, cat, options) == DIVERGENT
 
 
 def test_catalog_requires_seeds():

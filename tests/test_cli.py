@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from quadshift import BasinOptions, serialize
-from quadshift.cli import build_parser
+from quadshift.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "quadshift"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -101,15 +102,27 @@ def test_census_period_six():
     assert all(c["period"] == 6 for c in pay["cycles"])
 
 
-def test_census_rejects_an_infinite_interval_end(tmp_path):
-    # no orbit can be found over an infinite interval, and JSON has no -inf
-    out = tmp_path / "census.json"
-    r = run("census", "--b", "-1", "--period", "6", "--interval=-inf,2",
-            "--out", str(out))
-    assert r.returncode == 1
-    assert "interval ends must be finite" in r.stderr
-    assert "RuntimeWarning" not in r.stderr
-    assert not out.exists()
+def test_census_searches_out_to_beta():
+    # beta(-4) = 2.56: the search interval, echoed in the config, holds
+    # both fixed points
+    r = run("census", "--b", "-4", "--period", "1")
+    assert r.returncode == 0, r.stderr
+    pay = json.loads(r.stdout)
+    beta = 0.5 + math.sqrt(4.25)
+    assert pay["config"]["interval"] == [-beta, beta]
+    assert pay["counts"]["total"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("cycles-1d", "--b", "-1", "--period", "2", "--grid-points", "5"),
+    ("cycles-1d", "--b", "-1", "--period", "2", "--interval", "-2,2"),
+    ("census", "--b", "-1", "--period", "6", "--interval", "-2,2"),
+    ("bifurcations", "--kind", "flip", "--bracket", "-0.8,-0.7",
+     "--interval", "-2,2"),
+])
+def test_search_settings_are_unknown_flags(argv, capsys):
+    assert main(list(argv)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_census_past_the_scalar_wrap():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadshift import (ESCAPE_RADIUS, Diverged, Overflow, Params, Point3,
                        apply_T, as_point, escape_radius, fixed_point_cycles_1d,
-                       h1d, h1d_n, jacobian_T, orbit)
+                       h1d, h1d_n, jacobian_T, orbit, search_interval)
 
 
 def test_single_step_shifts_and_kicks():
@@ -95,6 +97,14 @@ def test_escape_radius_is_four_down_to_minus_twelve_then_beta():
         x_fixed = fixed_point_cycles_1d(Params(b))[0].points[0]
         assert escape_radius(b) == x_fixed > ESCAPE_RADIUS
     assert np.isfinite(escape_radius(-1.7e308))     # 1 - 4b would overflow
+
+
+def test_search_interval_is_two_and_a_half_down_to_minus_375_then_beta():
+    for b in (1.0, 0.25, 0.0, -2.0, -3.75):
+        assert search_interval(b) == (-2.5, 2.5)
+    for b in (-3.8, -4.0, -10.0, -20.0, -1e8):
+        beta = 0.5 + math.sqrt(0.25 - b)    # as escape_radius takes it
+        assert search_interval(b) == (-beta, beta)
 
 
 def test_orbit_holds_the_fixed_point_beyond_radius_four():

@@ -80,16 +80,6 @@ def test_minimal_period_filter_drops_fixed_points():
         assert len(set(c.points)) == 2
 
 
-@pytest.mark.parametrize("interval", [(-math.inf, 2.0), (-2.0, math.inf),
-                                      (math.nan, 2.0), (-math.inf, math.inf)])
-def test_find_cycles_rejects_non_finite_interval_ends(interval):
-    # a grid over an infinite end is all NaN, so no cycle could be found
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            find_cycles_1d(Params(-1.0), 2, interval=interval)
-
-
 def test_cycle1d_points_are_min_first():
     for n in (1, 2, 4):
         for c in find_cycles_1d(Params(-1.3), n):
@@ -158,11 +148,11 @@ def _lifts_at_minus_one():
     x1, x2 = find_cycles_1d(params, 1)
     (c2,) = find_cycles_1d(params, 2)
     out = list(fixed_points_T(params))
-    out += [lift_homogeneous(c, params) for c in (x1, x2, c2)]
-    out += lift_homogeneous_3n(c2, params)
+    out += [lift_homogeneous(c) for c in (x1, x2, c2)]
+    out += lift_homogeneous_3n(c2)
     for A, B in ((x1, x2), (x1, c2), (x2, c2)):
-        out += lift_mixed_pair(A, B, params)
-    out += lift_mixed_triple(x1, x2, c2, params)
+        out += lift_mixed_pair(A, B)
+    out += lift_mixed_triple(x1, x2, c2)
     return out
 
 
@@ -252,6 +242,19 @@ def test_grid_escape_raises_no_warning():
         warnings.simplefilter("error")
         found = find_cycles_1d(Params(-2.0), 12)
     assert len(found) == _necklace(12)
+
+
+@pytest.mark.parametrize("b", [-3.8, -4.0, -10.0])
+def test_cycles_outside_two_and_a_half_are_found(b):
+    # below b = -3.75 the fixed point beta(b) lies past 2.5, and at b = -10
+    # every cycle point has |x| >= 2.51; all of them lie in [-beta, beta]
+    params = Params(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 7):
+            assert len(find_cycles_1d(params, n)) == _necklace(n)
+        fixed = census(params, 1)
+    assert fixed == sorted(fixed_points_T(params), key=lambda c: c.points[0].x)
 
 
 def _scalar_bisection(a, c, fa, params, n):

@@ -111,7 +111,7 @@ def at_minus_13():
 
 def test_homogeneous_lift_of_two_cycle(at_minus_one):
     params, _, _, c2 = at_minus_one
-    c = lift_homogeneous(c2, params)
+    c = lift_homogeneous(c2)
     assert c.period == 2
     assert c.provenance.kind == "homogeneous"
     # t = 3^-1 mod 2 = 1: state 0 is (X0, X[t], X[2t]) = (X0, X1, X0)
@@ -123,8 +123,8 @@ def test_homogeneous_lift_of_two_cycle(at_minus_one):
 
 
 def test_homogeneous_lift_of_four_cycle(at_minus_13):
-    params, _, _, _, c4 = at_minus_13
-    c = lift_homogeneous(c4, params)
+    _, _, _, _, c4 = at_minus_13
+    c = lift_homogeneous(c4)
     assert c.period == 4
     X = c4.points
     # t = 3^-1 mod 4 = 3: state 0 is (X0, X[t], X[2t]) = (X0, X3, X2), and
@@ -137,7 +137,7 @@ def test_homogeneous_lift_rejects_multiples_of_three(at_minus_one):
     three = find_cycles_1d(Params(-1.76), 3)
     assert len(three) == 2
     with pytest.raises(PeriodDivisibleBy3):
-        lift_homogeneous(three[0], Params(-1.76))
+        lift_homogeneous(three[0])
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def test_homogeneous_lift_rejects_multiples_of_three(at_minus_one):
 
 
 def test_3n_lift_count_and_orbits_n2(at_minus_one):
-    params, _, _, c2 = at_minus_one
-    lifted = lift_homogeneous_3n(c2, params)
+    _, _, _, c2 = at_minus_one
+    lifted = lift_homogeneous_3n(c2)
     assert len(lifted) == 1
     assert lifted[0].period == 6
     assert lifted[0].provenance.seed == lifted[0].points[0]
@@ -159,8 +159,8 @@ def test_3n_lift_count_and_orbits_n2(at_minus_one):
 
 
 def test_3n_lift_count_and_orbits_n4(at_minus_13):
-    params, _, _, _, c4 = at_minus_13
-    lifted = lift_homogeneous_3n(c4, params)
+    _, _, _, _, c4 = at_minus_13
+    lifted = lift_homogeneous_3n(c4)
     assert len(lifted) == 5
     assert all(c.period == 12 for c in lifted)
     assert all(c.provenance.kind == "homogeneous_3n" for c in lifted)
@@ -175,7 +175,7 @@ def test_3n_lift_count_n5():
     params = Params(-2.0)
     fives = find_cycles_1d(params, 5)
     assert len(fives) == 6          # (2^5 - 2)/5, all real at the boundary
-    lifted = lift_homogeneous_3n(fives[0], params)
+    lifted = lift_homogeneous_3n(fives[0])
     assert len(lifted) == 8
     assert all(c.period == 15 for c in lifted)
 
@@ -183,7 +183,7 @@ def test_3n_lift_count_n5():
 def test_3n_lift_count_n3():
     params = Params(-1.76)
     threes = find_cycles_1d(params, 3)
-    lifted = lift_homogeneous_3n(threes[0], params)
+    lifted = lift_homogeneous_3n(threes[0])
     assert len(lifted) == 3
     assert all(c.period == 9 for c in lifted)
 
@@ -203,86 +203,85 @@ def _triple_count(n, m, p):
 
 
 def test_pair_of_fixed_points(at_minus_one):
-    params, x1, x2, _ = at_minus_one
-    lifted = lift_mixed_pair(x1, x2, params)
+    _, x1, x2, _ = at_minus_one
+    lifted = lift_mixed_pair(x1, x2)
     assert len(lifted) == _pair_count(1, 1) == 2
     assert all(c.period == 3 for c in lifted)
     assert all(c.provenance.kind == "mixed_pair" for c in lifted)
 
 
 def test_pairs_fixed_point_with_two_cycle(at_minus_one):
-    params, x1, x2, c2 = at_minus_one
-    a = lift_mixed_pair(x1, c2, params)
-    b = lift_mixed_pair(x2, c2, params)
+    _, x1, x2, c2 = at_minus_one
+    a = lift_mixed_pair(x1, c2)
+    b = lift_mixed_pair(x2, c2)
     assert len(a) == len(b) == _pair_count(1, 2) == 3
     assert all(c.period == 6 for c in a + b)
 
 
 def test_pair_two_with_four_cycle(at_minus_13):
-    params, _, _, c2, c4 = at_minus_13
-    lifted = lift_mixed_pair(c2, c4, params)
+    _, _, _, c2, c4 = at_minus_13
+    lifted = lift_mixed_pair(c2, c4)
     assert len(lifted) == _pair_count(2, 4) == 12
     assert all(c.period == 12 for c in lifted)
 
 
 def test_pairs_fixed_point_with_four_cycle(at_minus_13):
-    params, x1, x2, _, c4 = at_minus_13
-    assert len(lift_mixed_pair(x1, c4, params)) == _pair_count(1, 4) == 5
-    assert len(lift_mixed_pair(x2, c4, params)) == _pair_count(1, 4) == 5
+    _, x1, x2, _, c4 = at_minus_13
+    assert len(lift_mixed_pair(x1, c4)) == _pair_count(1, 4) == 5
+    assert len(lift_mixed_pair(x2, c4)) == _pair_count(1, 4) == 5
 
 
 def test_pair_is_order_invariant(at_minus_13):
-    params, _, _, c2, c4 = at_minus_13
-    ab = {value_key(c.points) for c in lift_mixed_pair(c2, c4, params)}
-    ba = {value_key(c.points) for c in lift_mixed_pair(c4, c2, params)}
+    _, _, _, c2, c4 = at_minus_13
+    ab = {value_key(c.points) for c in lift_mixed_pair(c2, c4)}
+    ba = {value_key(c.points) for c in lift_mixed_pair(c4, c2)}
     assert ab == ba
 
 
 def test_triple_of_fixed_points_and_two_cycle(at_minus_one):
-    params, x1, x2, c2 = at_minus_one
-    lifted = lift_mixed_triple(x1, x2, c2, params)
+    _, x1, x2, c2 = at_minus_one
+    lifted = lift_mixed_triple(x1, x2, c2)
     assert len(lifted) == _triple_count(1, 1, 2) == 2
     assert all(c.period == 6 for c in lifted)
     assert all(c.provenance.kind == "mixed_triple" for c in lifted)
 
 
 def test_triples_at_minus_13(at_minus_13):
-    params, x1, x2, c2, c4 = at_minus_13
-    assert len(lift_mixed_triple(x1, x2, c4, params)) == \
+    _, x1, x2, c2, c4 = at_minus_13
+    assert len(lift_mixed_triple(x1, x2, c4)) == \
         _triple_count(1, 1, 4) == 2
-    assert len(lift_mixed_triple(x1, c2, c4, params)) == \
+    assert len(lift_mixed_triple(x1, c2, c4)) == \
         _triple_count(1, 2, 4) == 4
-    assert len(lift_mixed_triple(x2, c2, c4, params)) == \
+    assert len(lift_mixed_triple(x2, c2, c4)) == \
         _triple_count(1, 2, 4) == 4
 
 
 def test_triple_is_order_invariant(at_minus_13):
-    params, x1, _, c2, c4 = at_minus_13
-    ref = {value_key(c.points) for c in lift_mixed_triple(x1, c2, c4, params)}
+    _, x1, _, c2, c4 = at_minus_13
+    ref = {value_key(c.points) for c in lift_mixed_triple(x1, c2, c4)}
     for perm in itertools.permutations((x1, c2, c4)):
-        got = {value_key(c.points) for c in lift_mixed_triple(*perm, params=params)}
+        got = {value_key(c.points) for c in lift_mixed_triple(*perm)}
         assert got == ref
 
 
 def test_sources_must_coexist(at_minus_one, at_minus_13):
     _, x1, _, _ = at_minus_one
-    params13, _, _, c2_13, _ = at_minus_13
+    _, _, _, c2_13, _ = at_minus_13
     with pytest.raises(ValueError):
-        lift_mixed_pair(x1, c2_13, params13)
+        lift_mixed_pair(x1, c2_13)
 
 
 def test_sources_must_be_distinct(at_minus_one):
-    params, x1, _, c2 = at_minus_one
+    _, x1, _, c2 = at_minus_one
     with pytest.raises(ValueError):
-        lift_mixed_pair(c2, c2, params)
+        lift_mixed_pair(c2, c2)
 
 
 LIFTS = {
-    "homogeneous": lambda bad, x2, c2, params: lift_homogeneous(bad, params),
-    "homogeneous_3n": lambda bad, x2, c2, params: lift_homogeneous_3n(bad, params),
-    "mixed_pair": lambda bad, x2, c2, params: lift_mixed_pair(bad, x2, params),
-    "mixed_triple": lambda bad, x2, c2, params:
-        lift_mixed_triple(bad, x2, c2, params),
+    "homogeneous": lambda bad, x2, c2: lift_homogeneous(bad),
+    "homogeneous_3n": lambda bad, x2, c2: lift_homogeneous_3n(bad),
+    "mixed_pair": lambda bad, x2, c2: lift_mixed_pair(bad, x2),
+    "mixed_triple": lambda bad, x2, c2: lift_mixed_triple(bad, x2, c2),
 }
 
 
@@ -295,7 +294,7 @@ def test_lifts_reject_a_bad_source(at_minus_one, kind, defect):
     pts = (-1.0, 1e-6) if defect == "moved" else x1.points * 2
     bad = Cycle1D(b=params.b, period=2, points=pts, multiplier=0.0)
     with pytest.raises(LiftValidationFailed, match="source n2@"):
-        LIFTS[kind](bad, x2, c2, params)
+        LIFTS[kind](bad, x2, c2)
 
 
 def test_lifts_accept_a_large_fixed_point():
@@ -406,6 +405,6 @@ def test_census_eigenvalues_at_minus_two_are_powers_of_two(census_at_minus_two):
 
 def test_lifted_eigenvalues_are_scalar_multiplier_triples(at_minus_13):
     params, _, _, c2, _ = at_minus_13
-    c = lift_homogeneous(c2, params)
+    c = lift_homogeneous(c2)
     lam = 4.0 * (params.b + 1.0)
     assert c.eigenvalues == pytest.approx((lam, lam, lam), abs=1e-9)
