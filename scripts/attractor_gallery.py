@@ -5,23 +5,27 @@ b = -0.4, the order-6 cycle at b = -0.8, a 3-cycle lift at b = -1.76,
 broad chaos at b = -1.864, and the boundary case b = -2 sampled from
 three nearby starts that all land on the same third-order chaotic set.
 
+This runs the seven orbit lines of recipes/README.md through the CLI, so
+it writes the same files, byte for byte (orbit_fixed.csv, orbit_order6.csv,
+orbit_3cycle.csv, orbit_chaos.csv and orbit_b2_s1/s2/s3.csv); --n and
+--transient replace the lines' values.
+
 Usage: python3 scripts/attractor_gallery.py [--n 4000] [--out-dir out]
 """
 import argparse
 import pathlib
 
-from quadshift import Diverged, Params, Point3, orbit
-from quadshift.serialize import orbit_csv, save_text
+from quadshift.cli import main as cli_main
 
-STATIONS = [
-    ("fixed_point_b-0.40", -0.4, Point3(0.0, -0.5, 0.0)),
-    ("order6_b-0.80", -0.8, Point3(0.0, -0.5, 0.0)),
-    ("threecycle_b-1.76", -1.76, Point3(0.0, -0.5, 0.5)),
-    ("chaos_b-1.864", -1.864, Point3(0.0, -0.5, 0.5)),
-    ("chaos_b-2.00_s1", -2.0, Point3(-0.5, 0.0, 0.0)),
-    ("chaos_b-2.00_s2", -2.0, Point3(-0.5, -0.01, 0.0)),
-    ("chaos_b-2.00_s3", -2.0, Point3(-0.5, -0.5, 0.0)),
-]
+STATIONS = (
+    ("-0.4", "0,-0.5,0", "orbit_fixed"),
+    ("-0.8", "0,-0.5,0", "orbit_order6"),
+    ("-1.76", "0,-0.5,0.5", "orbit_3cycle"),
+    ("-1.864", "0,-0.5,0.5", "orbit_chaos"),
+    ("-2", "-0.5,0,0", "orbit_b2_s1"),
+    ("-2", "-0.5,-0.01,0", "orbit_b2_s2"),
+    ("-2", "-0.5,-0.5,0", "orbit_b2_s3"),
+)
 
 
 def main():
@@ -35,17 +39,16 @@ def main():
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    for name, b, p0 in STATIONS:
-        try:
-            pts = orbit(p0, Params(b), args.n, transient=args.transient)
-        except Diverged as exc:
-            print(f"  {name}: diverged ({exc})")
-            continue
-        path = out / f"orbit_{name}.csv"
-        save_text(path, orbit_csv(pts))
-        xs = [p.x for p in pts]
-        print(f"wrote {path}  (x in [{min(xs):+.4f}, {max(xs):+.4f}])")
+    for b, x0, stem in STATIONS:
+        path = out / f"{stem}.csv"
+        code = cli_main(["orbit", "--b", b, "--x0", x0, "--n", str(args.n),
+                         "--transient", str(args.transient),
+                         "--out", str(path)])
+        if code:
+            return code
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,19 +1,20 @@
 """Full-range orbit diagram: post-transient x-samples against b.
 
-Writes out/diagram.csv (columns b,x) plus a small console summary of the
-distinct-sample counts at a few waypoint parameters, which is the quickest
-way to see the doubling cascade without plotting anything.
+Runs the diagram line of recipes/README.md through the CLI, so it writes
+the same out/diagram.csv (columns b,x), byte for byte; --steps, --samples
+and --transient replace the line's values.  It then prints a small
+console summary of the distinct-sample counts at a few waypoint
+parameters, which is the quickest way to see the doubling cascade without
+plotting anything.
 
 Usage: python3 scripts/diagram_figure.py [--steps 800] [--out-dir out]
 """
 import argparse
 import pathlib
 
-from quadshift import (Params, Point3, bifurcation_diagram,
-                       distinct_sample_count)
-from quadshift.serialize import diagram_csv, save_text
+from quadshift import Point3, bifurcation_diagram, distinct_sample_count
+from quadshift.cli import main as cli_main
 
-B_RANGE = (-1.99, -0.3)
 X0 = Point3(0.0, -0.5, 0.0)
 WAYPOINTS = (-0.4, -0.78, -1.26, -1.6)
 
@@ -29,14 +30,14 @@ def main():
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    data = bifurcation_diagram(B_RANGE, args.steps, p0=X0,
-                               transient=args.transient,
-                               samples=args.samples)
     path = out / "diagram.csv"
-    save_text(path, diagram_csv(data))
-    divergent = sum(1 for r in data.rows if r.samples is None)
-    print(f"wrote {path}  ({len(data.rows)} parameters, "
-          f"{divergent} divergent)")
+    code = cli_main(["diagram", "--b-min", "-1.99", "--b-max", "-0.3",
+                     "--steps", str(args.steps), "--x0", "0,-0.5,0",
+                     "--transient", str(args.transient),
+                     "--samples", str(args.samples), "--out", str(path)])
+    if code:
+        return code
+    print(f"wrote {path}")
 
     for b in WAYPOINTS:
         row = bifurcation_diagram((b, b), 1, p0=X0,
@@ -45,7 +46,8 @@ def main():
         n = ("diverged" if row.samples is None
              else distinct_sample_count(row.samples))
         print(f"  b = {b:+.3f}: {n} distinct samples")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -385,7 +385,7 @@ _COLOR_TABLE = (
 )
 
 
-def default_palette(grid: BasinGrid) -> dict:
+def _palette(grid: BasinGrid) -> dict:
     pal = {DIVERGENT: (0, 0, 0), UNDECIDED: (40, 40, 40)}
     for lab in sorted(set(int(v) for v in np.unique(grid.labels)) |
                       {a.id for a in grid.attractors}):
@@ -394,10 +394,11 @@ def default_palette(grid: BasinGrid) -> dict:
     return pal
 
 
-def render_grid(grid: BasinGrid, palette=None) -> bytes:
-    """Binary PPM (P6), one pixel per cell, top row = largest swept v."""
-    if palette is None:
-        palette = default_palette(grid)
+def render_grid(grid: BasinGrid) -> bytes:
+    """Binary PPM (P6), one pixel per cell, top row = largest swept v.
+    Labels below UNDECIDED have no color: a grid read from an outside CSV
+    may hold one, and it raises PaletteMissingLabel."""
+    palette = _palette(grid)
     nv, nu = grid.labels.shape
     img = np.zeros((nv, nu, 3), dtype=np.uint8)
     for lab in np.unique(grid.labels):

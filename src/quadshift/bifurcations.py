@@ -1,4 +1,4 @@
-"""Locating fold / flip / transcritical events and sweeping diagrams.
+"""Locating fold / flip / transcritical events, and orbit diagrams.
 
 A fold or flip of a period-n cycle of H(u) = u^2 + b is a point (x, b)
 where x lies on a minimal period-n cycle whose multiplier (H^n)'(x) is +1
@@ -10,6 +10,10 @@ counts only if it lands inside the bracket on a minimal period-n cycle
 with the target multiplier.  A cycle born with count step 1 is a doubling
 birth, where the tangency system is singular; it is located as the flip
 of its period-n/2 parent, whose multiplier crosses -1 at the same b.
+
+An orbit diagram iterates one start at every parameter of a sweep, all
+parameters at once as arrays, and keeps each one's post-transient
+x-samples.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ from .core import Params, Point3, escape_radius, h1d_n
 from .cycles import _orbit_1d, _sorted_multiplier, find_cycles_1d
 from .errors import NoEventInBracket, Overflow
 
-JUMP_GUARD = 0.2            # max point motion between sweep steps of a branch
-
 
 @dataclass(frozen=True)
 class BifurcationEvent:
@@ -30,14 +32,6 @@ class BifurcationEvent:
     period: int
     b_star: float
     x_star: float
-
-
-@dataclass(frozen=True)
-class Branch:
-    period: int
-    bs: tuple
-    xs: tuple           # smallest cycle point at each parameter
-    multipliers: tuple
 
 
 @dataclass(frozen=True)
@@ -49,8 +43,6 @@ class DiagramRow:
 @dataclass(frozen=True)
 class DiagramDataset:
     rows: tuple
-    p0: Point3
-    transient: int
 
 
 # ---------------------------------------------------------------------------
@@ -193,45 +185,7 @@ def event_residuals(ev: BifurcationEvent):
 
 
 # ---------------------------------------------------------------------------
-# branch sweeps and diagrams
-
-
-def multiplier_curve(n, b_range, steps) -> list:
-    """Track period-n branches across a parameter grid by nearest-point
-    matching; emits one Branch per tracked cycle.  Branches die at folds
-    (that is normal); when two live branches claim the same cycle the grid
-    landed on their collision point, and the later claimant is retired."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    b_lo, b_hi = b_range
-    live = []    # [ [bs], [xs], [lams] ]
-    done = []
-    for k in range(steps):
-        b = b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
-        cycles = find_cycles_1d(Params(b), n)
-        claimed = {}
-        next_live = []
-        for br in live:
-            best_i, best_d = None, JUMP_GUARD
-            for i, cy in enumerate(cycles):
-                d = abs(cy.points[0] - br[1][-1])
-                if d < best_d:
-                    best_i, best_d = i, d
-            if best_i is None or best_i in claimed:
-                done.append(br)
-                continue
-            claimed[best_i] = True
-            br[0].append(b)
-            br[1].append(cycles[best_i].points[0])
-            br[2].append(cycles[best_i].multiplier)
-            next_live.append(br)
-        for i, cy in enumerate(cycles):
-            if i not in claimed:
-                next_live.append([[b], [cy.points[0]], [cy.multiplier]])
-        live = next_live
-    done.extend(live)
-    return [Branch(period=n, bs=tuple(br[0]), xs=tuple(br[1]),
-                   multipliers=tuple(br[2])) for br in done]
+# diagrams
 
 
 def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
@@ -250,6 +204,8 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
         raise ValueError("steps must be >= 2, or 1 with b_lo == b_hi")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     bs = [b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
           for k in range(steps)]
     b = np.array(bs)
@@ -272,7 +228,7 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
             x, y, z = y, z, kick
     rows = tuple(DiagramRow(b=bv, samples=tuple(row.tolist()) if ok else None)
                  for bv, ok, row in zip(bs, bounded.tolist(), xs))
-    return DiagramDataset(rows=rows, p0=p0, transient=transient)
+    return DiagramDataset(rows=rows)
 
 
 def distinct_sample_count(values, tol=1e-6) -> int:

@@ -26,9 +26,6 @@ ESCAPE_RADIUS = 4.0
 # the cycle search interval's half-width until beta(b) passes it at b = -3.75
 SEARCH_HALF_WIDTH = 2.5
 
-# A 3x3 Jacobian; row-major numpy array, entries finite.
-Mat3 = np.ndarray
-
 
 @dataclass(frozen=True)
 class Params:
@@ -52,9 +49,6 @@ class Point3:
 
     def max_abs(self) -> float:
         return max(abs(self.x), abs(self.y), abs(self.z))
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
 
 def _cover_beta(r: float, b: float) -> float:
@@ -84,11 +78,6 @@ def search_interval(b: float) -> tuple:
     return -w, w
 
 
-def as_point(seq) -> Point3:
-    x, y, z = seq
-    return Point3(float(x), float(y), float(z))
-
-
 def h1d(x: float, params: Params) -> float:
     """The scalar return map: x -> x^2 + b.  All three coordinates obey it."""
     return x * x + params.b
@@ -108,16 +97,7 @@ def apply_T(p: Point3, params: Params) -> Point3:
     return Point3(p.y, p.z, z)
 
 
-def apply_T_n(p: Point3, params: Params, n: int) -> Point3:
-    """n-fold composition of apply_T."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for _ in range(n):
-        p = apply_T(p, params)
-    return p
-
-
-def jacobian_T(p: Point3) -> Mat3:
+def jacobian_T(p: Point3) -> np.ndarray:
     """One-step Jacobian: constant rows except the 2x entry.  det = 2x.
     The tests check the closed-form products against it."""
     return np.array([
@@ -136,6 +116,8 @@ def orbit(p0: Point3, params: Params, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     R = escape_radius(params.b)
     p = p0
     for k in range(transient):

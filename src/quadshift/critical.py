@@ -1,4 +1,5 @@
-"""Degeneracy planes, their forward images, and the two inverse branches.
+"""Degeneracy planes, their forward images, the preimage zones and the
+two inverse branches.
 
 The one-step Jacobian determinant is 2x, so the map folds space along
 {x = 0}.  Every forward image of that plane is again an axis-aligned
@@ -13,8 +14,7 @@ from math import sqrt
 
 from .core import Params, Point3, h1d, h1d_n
 
-TIE_TOL = 1e-12     # boundary tolerance for zone / side classification
-K_MAX_DEFAULT = 8
+TIE_TOL = 1e-12     # boundary tolerance for zone / region classification
 
 
 @dataclass(frozen=True)
@@ -23,25 +23,11 @@ class AxisPlane:
     offset: float
     index: int      # k >= -1
 
-    def side_of(self, p: Point3) -> float:
-        """Signed distance of p from the plane (coordinate minus offset)."""
-        return getattr(p, self.axis) - self.offset
-
 
 @dataclass(frozen=True)
 class Preimage:
     point: Point3
     region: str     # "R1" | "R2" | "on_PC_minus1"
-
-
-@dataclass(frozen=True)
-class PlaneSideStats:
-    plane: AxisPlane
-    frac_neg: float
-    frac_on: float
-    frac_pos: float
-    d_min: float
-    d_max: float
 
 
 _IMAGE_AXIS = {"x": "z", "z": "y", "y": "x"}
@@ -103,23 +89,3 @@ def preimages(p: Point3, params: Params) -> list:
     q2 = Point3(-r, p.x, p.y)
     return [Preimage(point=q1, region="R1"), Preimage(point=q2, region="R2")]
 
-
-def attractor_bounds_report(orbit_points, params: Params,
-                            k_max: int = K_MAX_DEFAULT) -> list:
-    """Per-plane side statistics of an orbit against the planes up to k_max:
-    the empirical evidence for how the planes sandwich an attractor."""
-    pts = list(orbit_points)
-    if not pts:
-        raise ValueError("need a non-empty orbit")
-    out = []
-    for k in range(-1, k_max + 1):
-        plane = critical_plane(k, params)
-        ds = [plane.side_of(p) for p in pts]
-        neg = sum(1 for d in ds if d < -TIE_TOL)
-        on = sum(1 for d in ds if abs(d) <= TIE_TOL)
-        out.append(PlaneSideStats(plane=plane,
-                                  frac_neg=neg / len(ds),
-                                  frac_on=on / len(ds),
-                                  frac_pos=(len(ds) - neg - on) / len(ds),
-                                  d_min=min(ds), d_max=max(ds)))
-    return out

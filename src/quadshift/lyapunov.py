@@ -22,8 +22,6 @@ LOG_FLOOR = 1e-300
 class LyapunovResult:
     exponents: tuple    # three reals, descending, natural log per step
     n_used: int
-    transient: int
-    p0: Point3
     b: float
 
 
@@ -43,6 +41,8 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     b = params.b
     R = escape_radius(b)
     x, y, z = p0.x, p0.y, p0.z
@@ -59,8 +59,7 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
         sums[k % 3] += log(g if g > LOG_FLOOR else LOG_FLOOR)
         x, y, z = y, z, x * x + b
     exps = tuple(sorted((s / n_iter for s in sums), reverse=True))
-    return LyapunovResult(exponents=exps, n_used=n_iter, transient=transient,
-                          p0=p0, b=b)
+    return LyapunovResult(exponents=exps, n_used=n_iter, b=b)
 
 
 def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
@@ -68,6 +67,8 @@ def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
     """Average of log|2x| along the scalar orbit; floored on critical hits."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     b = params.b
     R = escape_radius(b)
     x = x0

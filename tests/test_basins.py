@@ -14,8 +14,7 @@ from scipy.spatial import cKDTree
 from quadshift import (DIVERGENT, UNDECIDED, Attractor, BasinGrid,
                        BasinOptions, Diverged, PaletteMissingLabel, Params,
                        Point3, SliceSpec, basin_slice, basins, build_catalog,
-                       classify_point, default_palette, default_seeds, orbit,
-                       render_grid)
+                       classify_point, default_seeds, orbit, render_grid)
 
 from conftest import BASIN_CHECK_OPTIONS
 
@@ -490,20 +489,13 @@ def test_render_is_deterministic():
 
 
 def test_render_rejects_missing_palette_entry():
-    params = Params(-0.4)
-    cat = build_catalog(params)
-    grid = basin_slice(params, _tiny_spec(4), cat)
-    with pytest.raises(PaletteMissingLabel):
-        render_grid(grid, palette={})
-
-
-def test_default_palette_covers_all_labels():
-    params = Params(-0.8)
-    cat = build_catalog(params)
-    grid = basin_slice(params, _tiny_spec(8), cat)
-    pal = default_palette(grid)
-    for lab in np.unique(grid.labels):
-        assert int(lab) in pal
+    # a label read from an outside CSV may be one no grid produces
+    spec = SliceSpec(u_range=(0, 1), v_range=(0, 1), nu=2, nv=2)
+    labels = np.array([[0, UNDECIDED], [-5, DIVERGENT]])
+    grid = BasinGrid(b=-2.0, spec=spec, labels=labels, attractors=(),
+                     options=BasinOptions())
+    with pytest.raises(PaletteMissingLabel, match="label -5"):
+        render_grid(grid)
 
 
 def test_render_crafted_grid_has_three_colors():

@@ -10,7 +10,6 @@ period-4 flip is the root near -1.368 of
 4096b^6 + 12288b^5 + 12032b^4 + 12032b^3 + 8432b^2 + 4913.  Both roots
 are bisected here in exact rational arithmetic.
 """
-import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from quadshift import (Diverged, NoEventInBracket, Params, Point3,
                        bifurcation_diagram, distinct_sample_count,
                        event_residuals, find_cycles_1d, find_flip, find_fold,
-                       find_transcritical, multiplier_curve, orbit)
+                       find_transcritical, orbit)
 
 
 def _real_root(coeffs, lo, hi):
@@ -190,41 +189,6 @@ def test_no_transcritical_in_quiet_bracket():
 
 
 # ---------------------------------------------------------------------------
-# multiplier curves vs closed forms
-
-
-def test_multiplier_curve_fixed_points():
-    branches = multiplier_curve(1, (-0.7, 0.2), 10)
-    assert len(branches) == 2
-    for br in branches:
-        assert len(br.bs) == 10
-        for b, x, lam in zip(br.bs, br.xs, br.multipliers):
-            disc = math.sqrt(1.0 - 4.0 * b)
-            assert min(abs(x - 0.5 - 0.5 * disc),
-                       abs(x - 0.5 + 0.5 * disc)) <= 1e-9
-            assert abs(lam - 2.0 * x) <= 1e-9
-
-
-def test_multiplier_curve_two_cycle_closed_form():
-    branches = multiplier_curve(2, (-1.2, -0.8), 9)
-    assert len(branches) == 1
-    (br,) = branches
-    for b, lam in zip(br.bs, br.multipliers):
-        assert abs(lam - 4.0 * (b + 1.0)) <= 1e-9
-    # superstable point of the branch: multiplier 0 at b = -1
-    assert any(abs(b + 1.0) < 1e-12 and abs(lam) < 1e-12
-               for b, lam in zip(br.bs, br.multipliers))
-
-
-def test_multiplier_curve_survives_fold_death():
-    # sweep across b = 1/4 going up: both fixed-point branches die (one may
-    # end exactly on the tangency if a grid point lands there)
-    branches = multiplier_curve(1, (0.2, 0.3), 11)
-    assert len(branches) == 2
-    assert all(br.bs[-1] <= 0.25 + 1e-9 for br in branches)
-
-
-# ---------------------------------------------------------------------------
 # orbit diagram
 
 
@@ -259,6 +223,8 @@ def test_diagram_single_parameter():
         bifurcation_diagram((-1.3, -1.2), 1)
     with pytest.raises(ValueError):
         bifurcation_diagram((-1.3, -1.3), 0)
+    with pytest.raises(ValueError, match="transient must be >= 0, got -3"):
+        bifurcation_diagram((-1.26, -1.26), 1, transient=-3, samples=6)
 
 
 def test_diagram_rows_are_the_orbit_samples():

@@ -239,10 +239,23 @@ def _header_only(lines):
     return lines[:1]
 
 
-@pytest.mark.parametrize("edit", [_cut_last_grid_row, _move_a_row_off_grid,
-                                  _repeat_a_row, _header_only])
+def _label_minus_five(lines):
+    *cell, _ = lines[7].split(",")
+    return lines[:7] + [",".join([*cell, "-5"])] + lines[8:]
+
+
+_NOT_COVERED = "each cell of the 6x5 grid once"
+_RENDER_REJECTS = [(_cut_last_grid_row, _NOT_COVERED),
+                   (_move_a_row_off_grid, _NOT_COVERED),
+                   (_repeat_a_row, _NOT_COVERED),
+                   (_header_only, _NOT_COVERED),
+                   (_label_minus_five, "palette has no color for label -5")]
+
+
+@pytest.mark.parametrize("edit, message", _RENDER_REJECTS,
+                         ids=[edit.__name__ for edit, _ in _RENDER_REJECTS])
 def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
-                                                           edit):
+                                                           edit, message):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(edit(basin_6x5.read_text().splitlines())) + "\n")
     (tmp_path / "bad.meta.json").write_bytes(
@@ -250,7 +263,7 @@ def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
     out = tmp_path / "bad.ppm"
     r = run("render", "--csv", str(bad), "--out", str(out))
     assert r.returncode == 2
-    assert "each cell of the 6x5 grid once" in r.stderr
+    assert message in r.stderr
     assert not out.exists()
 
 
@@ -267,6 +280,20 @@ def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
     assert r.returncode == 1
     assert field in r.stderr
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("diagram", "--b-min", "-0.5", "--b-max", "-0.4", "--steps", "2",
+     "--transient", "-3", "--samples", "6"),
+    ("orbit", "--b", "-1", "--x0", "3,3,3", "--n", "5", "--transient", "-2"),
+    ("lyapunov", "--b", "-1", "--x0", "5,0,0", "--transient", "-5"),
+], ids=lambda argv: argv[0])
+def test_negative_transient_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    r = run(*argv, "--out", str(out))
+    assert r.returncode == 1
+    assert "transient must be >= 0, got -" in r.stderr
+    assert not out.exists()
 
 
 def _basin_flags():

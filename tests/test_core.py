@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshift import (ESCAPE_RADIUS, Diverged, Overflow, Params, Point3,
-                       apply_T, as_point, escape_radius, fixed_point_cycles_1d,
+                       apply_T, escape_radius, fixed_point_cycles_1d,
                        h1d, h1d_n, jacobian_T, orbit, search_interval)
 
 
@@ -19,7 +19,6 @@ def test_point_protocol():
     p = Point3(1.0, -2.0, 0.5)
     assert tuple(p) == (1.0, -2.0, 0.5)
     assert p.max_abs() == 2.0
-    assert as_point([1, 2, 3]) == Point3(1.0, 2.0, 3.0)
 
 
 def test_params_must_be_finite():
@@ -78,6 +77,8 @@ def test_orbit_transient_is_a_pure_offset():
     assert orbit(p0, params, 6, transient=4) == full[4:10]
     assert len(full) == 10
     assert full[0] == p0
+    with pytest.raises(ValueError, match="transient must be >= 0, got -2"):
+        orbit(Point3(3.0, 3.0, 3.0), Params(-1.0), 5, transient=-2)
 
 
 def test_orbit_reports_absolute_divergence_step():

@@ -10,9 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from quadshift import (Params, Point3, apply_T, attractor_bounds_report,
-                       critical_plane, h1d_n, orbit, plane_image, preimages,
-                       region_of, zone_of)
+from quadshift import (Params, Point3, apply_T, critical_plane, h1d_n, orbit,
+                       plane_image, preimages, region_of, zone_of)
 
 
 def test_base_plane():
@@ -57,12 +56,6 @@ def test_offsets_at_b_zero_do_not_walk():
 def test_plane_index_validation():
     with pytest.raises(ValueError):
         critical_plane(-2, Params(-1.0))
-
-
-def test_side_of_is_signed_coordinate_distance():
-    pl = critical_plane(0, Params(-1.3))      # {z = -1.3}
-    assert pl.side_of(Point3(0.0, 0.0, -1.0)) == pytest.approx(0.3)
-    assert pl.side_of(Point3(5.0, 5.0, -2.0)) == pytest.approx(-0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +132,6 @@ def test_attractor_never_below_first_plane():
     # image plane {z = b} bounds every attractor from below
     params = Params(-2.0)
     pts = orbit(Point3(0.3, -0.5, 0.5), params, 4000, transient=500)
-    report = attractor_bounds_report(pts, params, k_max=8)
-    first = next(s for s in report if s.plane.index == 0)
-    assert first.plane.axis == "z"
-    assert first.frac_neg == 0.0
-    assert first.d_min >= 0.0
-    assert len(report) == 10       # k = -1 .. 8
-
-
-def test_bounds_report_rejects_empty_orbit():
-    with pytest.raises(ValueError):
-        attractor_bounds_report([], Params(-1.0))
+    first = critical_plane(0, params)
+    assert (first.axis, first.offset) == ("z", -2.0)
+    assert min(p.z for p in pts) >= first.offset

@@ -28,6 +28,14 @@ def test_fixed_points_closed_form():
     assert c_minus.points == (0.0,)
     assert c_plus.multiplier == 2.0
     assert c_minus.multiplier == 0.0
+    # the grid finder meets x = 1/2 +- sqrt(1 - 4b)/2 with multiplier 2x
+    for b in np.linspace(-0.7, 0.2, 10):
+        found = find_cycles_1d(Params(float(b)), 1)
+        disc = math.sqrt(1.0 - 4.0 * b)
+        assert [c.points[0] for c in found] == pytest.approx(
+            [0.5 - 0.5 * disc, 0.5 + 0.5 * disc], abs=1e-9)
+        for c in found:
+            assert abs(c.multiplier - 2.0 * c.points[0]) <= 1e-9
 
 
 def test_fixed_points_merge_at_the_tangency():
@@ -39,6 +47,8 @@ def test_fixed_points_merge_at_the_tangency():
 def test_no_real_fixed_points_past_the_fold():
     with pytest.raises(NoRealFixedPoints):
         fixed_point_cycles_1d(Params(0.3))
+    for b in (0.26, 0.3):
+        assert find_cycles_1d(Params(b), 1) == []
 
 
 def test_two_cycle_at_minus_one_is_zero_and_minus_one():
@@ -56,14 +66,15 @@ def test_no_two_cycle_before_the_doubling():
 
 
 def test_two_cycle_closed_form_and_multiplier_rule():
-    b = -1.3
-    found = find_cycles_1d(Params(b), 2)
-    assert len(found) == 1
-    lo, hi = two_cycle_points(b)
-    assert found[0].points[0] == pytest.approx(lo, abs=1e-12)
-    assert found[0].points[1] == pytest.approx(hi, abs=1e-12)
-    # the multiplier of the 2-cycle is 4(b+1) analytically
-    assert found[0].multiplier == pytest.approx(4.0 * (b + 1.0), abs=1e-10)
+    for b in (-1.3, *np.linspace(-1.2, -0.8, 9).tolist()):
+        found = find_cycles_1d(Params(b), 2)
+        assert len(found) == 1
+        lo, hi = two_cycle_points(b)
+        assert found[0].points[0] == pytest.approx(lo, abs=1e-12)
+        assert found[0].points[1] == pytest.approx(hi, abs=1e-12)
+        # the multiplier of the 2-cycle is 4(b+1) analytically
+        assert found[0].multiplier == pytest.approx(4.0 * (b + 1.0),
+                                                    abs=1e-10)
 
 
 def test_exactly_one_four_cycle_at_minus_one_point_three():

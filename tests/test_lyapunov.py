@@ -131,3 +131,7 @@ def test_spectrum_rejects_bad_arguments():
         lyapunov_spectrum(GENERIC_X0, Params(-1.0), n_iter=0)
     with pytest.raises(ValueError):
         lyapunov_1d(0.1, Params(-1.0), n_iter=0)
+    with pytest.raises(ValueError, match="transient must be >= 0, got -5"):
+        lyapunov_spectrum(Point3(5.0, 0.0, 0.0), Params(-1.0), transient=-5)
+    with pytest.raises(ValueError, match="transient must be >= 0, got -5"):
+        lyapunov_1d(5.0, Params(-1.0), transient=-5)

@@ -343,8 +343,7 @@ def test_diagram_csv_matches_reference(rows):
     # None rows are divergent parameters; [] is a row with no samples
     ds = DiagramDataset(
         rows=tuple(DiagramRow(b=b, samples=None if xs is None else tuple(xs))
-                   for b, xs in rows),
-        p0=Point3(0.0, -0.5, 0.0), transient=0)
+                   for b, xs in rows))
     assert diagram_csv(ds) == _ref_diagram_csv(ds)
 
 
