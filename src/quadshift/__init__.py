@@ -15,7 +15,7 @@ from .cycles import (Cycle1D, Cycle3D, Provenance, census,
                      classify_stability, cycle1d_label, find_cycles_1d,
                      fixed_point_cycles_1d, fixed_points_T, lift_homogeneous,
                      lift_homogeneous_3n, lift_mixed_pair, lift_mixed_triple,
-                     stability_block_length)
+                     mixed_lifts, stability_block_length)
 from .bifurcations import (BifurcationEvent, DiagramDataset, DiagramRow,
                            bifurcation_diagram, distinct_sample_count,
                            event_residuals, find_flip, find_fold,

@@ -24,6 +24,7 @@ lone query at the same coordinates always agree.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ _SWEPT = {"z": ("x", "y"), "y": ("x", "z"), "x": ("y", "z")}
 CYCLE_TOL = 1e-8     # a seed orbit within this of its start has closed
 CYCLE_SEARCH = 64    # recurrence horizon for exact cycle detection
 RETRY_FACTOR = 4     # undecided cells rerun transient + this * max_iter steps
+TAIL_SAMPLES = 16    # post-transient states per cell matched against the catalog
+MERGE_TOL = 0.3      # symmetric Hausdorff estimate for chaotic catalog dedup
 
 
 @dataclass(frozen=True)
@@ -49,20 +52,17 @@ class BasinOptions:
     transient: int = 1000
     signature_samples: int = 512
     match_tol: float = 0.05        # sup-distance from tail to signature
-    merge_tol: float = 0.3         # symmetric Hausdorff estimate for catalog dedup
-    tail_samples: int = 16
 
     def __post_init__(self):
-        # an empty tail would match every attractor at distance 0
-        if self.tail_samples < 1:
-            raise ValueError(f"tail_samples must be >= 1, got {self.tail_samples}")
         # an empty signature cannot be matched, and no distance is below a
-        # tolerance <= 0 (or NaN), so every bounded cell would stay undecided
+        # tolerance <= 0 (or NaN), so every bounded cell would stay
+        # undecided; an infinite one would label every bounded cell
         if self.signature_samples < 1:
             raise ValueError("signature_samples must be >= 1, got "
                              f"{self.signature_samples}")
-        if not self.match_tol > 0:
-            raise ValueError(f"match_tol must be > 0, got {self.match_tol}")
+        if not 0 < self.match_tol < math.inf:
+            raise ValueError(
+                f"match_tol must be finite and > 0, got {self.match_tol}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.transient < 0:
@@ -237,15 +237,14 @@ def _match_tails(streams, bounded, attractors, match_tol):
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
     R = escape_radius(b)
     n_steps = options.transient + options.max_iter
-    escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, options.tail_samples,
-                               R)
+    escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, TAIL_SAMPLES, R)
     labels = _match_tails(streams, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
     retry = np.nonzero(labels == UNDECIDED)[0]
     if retry.size:
         n_long = options.transient + RETRY_FACTOR * options.max_iter
         esc2, streams2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
-                                 options.tail_samples, R)
+                                 TAIL_SAMPLES, R)
         sub = _match_tails(streams2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
         labels[retry] = sub
@@ -306,7 +305,7 @@ def build_catalog(params: Params, seeds=None,
                     dup = True
                     break
             elif kind == "chaotic" and okind == "chaotic":
-                if _within_hausdorff(sig, osig, options.merge_tol):
+                if _within_hausdorff(sig, osig, MERGE_TOL):
                     dup = True
                     break
         if not dup:

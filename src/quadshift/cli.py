@@ -10,8 +10,8 @@ does not list each grid cell once).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import re
 import sys
 import warnings
@@ -45,11 +45,24 @@ class _Parser(argparse.ArgumentParser):
 # flag value parsers
 
 
+def _finite(text):
+    """The float `text` spells, if it is finite; argparse puts the flag's
+    name in front of the error."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return v
+
+
 def _floats(text, n, what):
     parts = text.split(",")
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"{what} needs {n} comma-separated values")
-    return tuple(float(v) for v in parts)
+    return tuple(_finite(v) for v in parts)
 
 
 def _triple(text):
@@ -75,7 +88,7 @@ def _axis_value(text):
     axis, _, value = text.partition("=")
     if axis not in ("x", "y", "z") or not value:
         raise argparse.ArgumentTypeError("slice must look like z=0.5")
-    return axis, float(value)
+    return axis, _finite(value)
 
 
 def _seed_list(text):
@@ -104,11 +117,6 @@ def _cycles3d_payload(b, cfg, found):
         "count": len(found),
         "cycles": [serialize.cycle3d_payload(c) for c in found],
     }
-
-
-def _sorted_cycles3d(found):
-    return sorted(found, key=lambda c: (c.period, c.points[0].x,
-                                        c.points[0].y, c.points[0].z))
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +152,15 @@ def _cmd_lift(args):
            "times3": bool(args.times3)}
     _echo(cfg)
     by_p = {n: cycles.find_cycles_1d(Params(args.b), n) for n in set(periods)}
-    found = []
-    if len(periods) == 1:
-        for X in by_p[periods[0]]:
-            if args.times3:
-                found.extend(cycles.lift_homogeneous_3n(X))
-            else:
-                found.append(cycles.lift_homogeneous(X))
-    elif len(periods) == 2:
-        n, m = periods
-        if n == m:
-            combos = itertools.combinations(by_p[n], 2)
-        else:
-            combos = itertools.product(by_p[n], by_p[m])
-        for A, B in combos:
-            found.extend(cycles.lift_mixed_pair(A, B))
+    if len(periods) > 1:
+        found = cycles.mixed_lifts(by_p, periods)
+    elif args.times3:
+        found = [c for X in by_p[periods[0]]
+                 for c in cycles.lift_homogeneous_3n(X)]
     else:
-        # a source is (period, index in its find_cycles_1d list)
-        seen = set()
-        for trio in itertools.product(*([(n, i) for i in range(len(by_p[n]))]
-                                        for n in periods)):
-            key = frozenset(trio)
-            if len(key) < 3 or key in seen:
-                continue
-            seen.add(key)
-            found.extend(cycles.lift_mixed_triple(
-                *(by_p[n][i] for n, i in trio)))
-    found = _sorted_cycles3d(found)
+        found = [cycles.lift_homogeneous(X) for X in by_p[periods[0]]]
+    # census's order: every run lists cycles of one period
+    found.sort(key=lambda c: tuple(c.points[0]))
     _deliver(serialize.dumps_17g(_cycles3d_payload(args.b, cfg, found)),
              args.out)
     return 0
@@ -286,8 +276,8 @@ def _cmd_basin(args):
            "res": list(args.res), "max_iter": args.max_iter,
            "transient": args.transient,
            "signature_samples": args.signature_samples,
-           "match_tol": args.match_tol, "merge_tol": args.merge_tol,
-           "tail_samples": args.tail_samples,
+           "match_tol": args.match_tol, "merge_tol": basins.MERGE_TOL,
+           "tail_samples": basins.TAIL_SAMPLES,
            "seeds": [list(t) for t in args.seeds] if args.seeds else None}
     _echo(cfg)
     params = Params(args.b)
@@ -297,9 +287,7 @@ def _cmd_basin(args):
     opts = basins.BasinOptions(max_iter=args.max_iter,
                                transient=args.transient,
                                signature_samples=args.signature_samples,
-                               match_tol=args.match_tol,
-                               merge_tol=args.merge_tol,
-                               tail_samples=args.tail_samples)
+                               match_tol=args.match_tol)
     seeds = ([Point3(*t) for t in args.seeds] if args.seeds
              else basins.default_seeds())
     catalog = basins.build_catalog(params, seeds, opts)
@@ -377,20 +365,20 @@ def build_parser() -> _Parser:
 
     p = cmd("fixed-points", _cmd_fixed_points,
             "the two fixed points with stability (JSON)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--out")
 
     p = cmd("cycles-1d", _cmd_cycles_1d,
             "periodic points of the scalar kick map (CSV), searched over "
             "[-w, w] with w = max(2.5, beta(b)), beta the larger fixed point")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--out")
 
     p = cmd("lift", _cmd_lift,
             "lift scalar cycles to 3D cycles (JSON); one period lifts "
             "homogeneously, two or three lift every coexisting combination")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--periods", type=_int_list, required=True,
                    help="comma list, e.g. 2 or 1,2 or 1,1,2")
     p.add_argument("--times3", action="store_true",
@@ -400,7 +388,7 @@ def build_parser() -> _Parser:
     p = cmd("census", _cmd_census,
             "all 3D cycles of one period, grouped by construction (JSON); "
             "scalar cycles are searched as for cycles-1d")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--out")
 
@@ -416,8 +404,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = cmd("diagram", _cmd_diagram, "orbit diagram over a parameter sweep (CSV)")
-    p.add_argument("--b-min", type=float, required=True)
-    p.add_argument("--b-max", type=float, required=True)
+    p.add_argument("--b-min", type=_finite, required=True)
+    p.add_argument("--b-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--transient", type=int, default=1000)
     p.add_argument("--samples", type=int, default=200)
@@ -425,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = cmd("lyapunov", _cmd_lyapunov, "Lyapunov spectrum along one orbit (CSV)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--x0", type=_triple, default=(0.1, -0.55, 0.3))
     p.add_argument("--iters", type=int, default=1_000_000)
     p.add_argument("--transient", type=int, default=10_000)
@@ -433,18 +421,18 @@ def build_parser() -> _Parser:
 
     p = cmd("critical-planes", _cmd_critical_planes,
             "forward images of the fold plane (CSV)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--out")
 
     p = cmd("preimages", _cmd_preimages,
             "rank-one preimages of a point with zone/region tags (JSON)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--point", type=_triple, required=True)
     p.add_argument("--out")
 
     p = cmd("orbit", _cmd_orbit, "iterate one start and dump the orbit (CSV)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--x0", type=_triple, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--transient", type=int, default=0)
@@ -452,7 +440,7 @@ def build_parser() -> _Parser:
 
     p = cmd("basin", _cmd_basin,
             "classify a 2D slice of starts into basins (CSV + JSON sidecar)")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--slice", type=_axis_value, default=("z", 0.5),
                    help="fixed axis, e.g. z=0.5")
     p.add_argument("--u-range", type=_pair, default=(-2.5, 2.5))
@@ -465,8 +453,6 @@ def build_parser() -> _Parser:
     p.add_argument("--transient", type=int, default=1000)
     p.add_argument("--signature-samples", type=int, default=512)
     p.add_argument("--match-tol", type=float, default=0.05)
-    p.add_argument("--merge-tol", type=float, default=0.3)
-    p.add_argument("--tail-samples", type=int, default=16)
     p.add_argument("--out", required=True)
     p.add_argument("--ppm", help="also render the label grid to this PPM file")
 

@@ -8,12 +8,15 @@ cycles.  Since T^3 acts on each coordinate through the scalar map, a 3D
 state whose coordinates are points of scalar cycles is a triple of (cycle,
 phase) pairs, and T sends (a:i, b:j, c:k) to (b:j, c:k, a:i+1).  The lifts
 walk these integer states and read the points off the scalar cycles, which
-are checked once each, in scalar form, before use.
+are checked once each, in scalar form, before use.  Period 3s takes the
+3n lifts of the period-s cycles and, for every multiset of 2 or 3 periods
+whose lcm is s, the mixed lifts of all distinct cycles with those periods.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm, sqrt
 
@@ -24,7 +27,6 @@ from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
 CLOSURE_TOL = 1e-10     # a source point x maps within this * max(1, x^2) of the next
-DEGENERATE_TOL = 1e-7   # distinct cycles closer than this get flagged, not merged
 ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
 GRID_POINTS = 20001     # sign-change grid over the search interval
 
@@ -42,14 +44,12 @@ class Cycle1D:
     period: int
     points: tuple
     multiplier: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class Provenance:
     kind: str                 # "homogeneous" | "homogeneous_3n" | "mixed_pair" | "mixed_triple"
     sources: tuple            # labels of the scalar cycles used
-    seed: Point3              # the orbit's first (lexicographically smallest) point
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ def _sorted_multiplier(points) -> float:
     return m
 
 
-def cycle1d_from_orbit(b, points, degenerate=False) -> Cycle1D:
+def cycle1d_from_orbit(b, points) -> Cycle1D:
     return Cycle1D(b=b, period=len(points), points=tuple(points),
-                   multiplier=_sorted_multiplier(points), degenerate=degenerate)
+                   multiplier=_sorted_multiplier(points))
 
 
 def _rotate_min_first(orb):
@@ -207,24 +207,6 @@ def _first_distinct(keys):
     return kept
 
 
-def _degenerate_flags(keys):
-    """Flag every key within DEGENERATE_TOL (sup norm) of another one.
-
-    keys are ascending sequences, listed in ascending order of their first
-    entry; the sweep from each key stops once first entries differ by the
-    tolerance.
-    """
-    flags = [False] * len(keys)
-    for i, ki in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            kj = keys[j]
-            if kj[0] - ki[0] >= DEGENERATE_TOL:
-                break
-            if _sup_gap(ki, kj) < DEGENERATE_TOL:
-                flags[i] = flags[j] = True
-    return flags
-
-
 def find_cycles_1d(params: Params, n: int) -> list:
     """All minimal-period-n orbits of the scalar map.
 
@@ -236,8 +218,7 @@ def find_cycles_1d(params: Params, n: int) -> list:
     runs so tangent roots at folds are not silently missed.  Roots whose
     minimal period properly divides n are discarded.  Orbits are
     deduplicated on sorted points, comparing only orbits whose smallest
-    points fall in a window around each other (the first root found wins),
-    and near-coincident cycles get a degenerate flag.
+    points fall in a window around each other (the first root found wins).
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -283,9 +264,8 @@ def find_cycles_1d(params: Params, n: int) -> list:
     # group roots into orbits, dedup on sorted points
     keys = np.sort(orbs, axis=1).tolist()
     distinct = sorted(_first_distinct(keys), key=lambda i: keys[i][0])
-    degenerate = _degenerate_flags([keys[i] for i in distinct])
-    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist()), deg)
-            for i, deg in zip(distinct, degenerate)]
+    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist()))
+            for i in distinct]
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +335,8 @@ def _check_source(X: Cycle1D):
 def _cycle3d(pts, b: float, kind: str, labels: tuple) -> Cycle3D:
     pts = _canonical_rotation_3d(pts)
     eig, tag = classify_stability(pts, b)
-    prov = Provenance(kind=kind, sources=labels, seed=pts[0])
     return Cycle3D(b=b, period=len(pts), points=pts, eigenvalues=eig,
-                   stability=tag, provenance=prov)
+                   stability=tag, provenance=Provenance(kind, labels))
 
 
 def _lift_orbits(sources, period: int, kind: str) -> list:
@@ -479,12 +458,26 @@ def lift_mixed_triple(A: Cycle1D, B: Cycle1D, C: Cycle1D) -> list:
                         "mixed_triple")
 
 
+def mixed_lifts(by_period, periods) -> list:
+    """Every mixed cycle whose sources are distinct scalar cycles with
+    exactly the given 2 or 3 periods; by_period maps each period to its
+    cycles at one b.  Per period, in order of first appearance, every
+    combination of as many cycles as it occurs is picked; every product of
+    those picks is lifted, so sources come grouped by period.
+    """
+    if len(periods) not in (2, 3):
+        raise ValueError("mixed lifts take 2 or 3 periods")
+    lift = lift_mixed_pair if len(periods) == 2 else lift_mixed_triple
+    picks = [itertools.combinations(by_period[n], k)
+             for n, k in Counter(periods).items()]
+    out = []
+    for pick in itertools.product(*picks):
+        out.extend(lift(*itertools.chain.from_iterable(pick)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # census
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def census(params: Params, period: int) -> list:
@@ -493,26 +486,25 @@ def census(params: Params, period: int) -> list:
 
     Periods not divisible by 3 are purely homogeneous (one cycle per scalar
     cycle of that period).  Periods 3s draw on scalar cycles of every period
-    dividing s: homogeneous 3n lifts from the period-s cycles, mixed pairs
-    and triples from every coexisting combination whose lcm is s.  Each
-    orbit rides exactly one combination, so none is lifted twice.
+    dividing s: homogeneous 3n lifts from the period-s cycles, and mixed
+    pairs and triples for every multiset of 2 or 3 periods whose lcm is s.
+    Each orbit rides exactly one set of source cycles, so none is lifted
+    twice.
     """
+    if period < 1:
+        raise ValueError("period must be >= 1")
     if period % 3 != 0:
         return [lift_homogeneous(X) for X in find_cycles_1d(params, period)]
     s = period // 3
-    pool = []
-    for dd in _divisors(s):
-        pool.extend(find_cycles_1d(params, dd))
+    divisors = [*_proper_divisors(s), s]
+    by_period = {d: find_cycles_1d(params, d) for d in divisors}
     out = []
     if s >= 2:
-        for X in pool:
-            if X.period == s:
-                out.extend(lift_homogeneous_3n(X))
-    for A, B in itertools.combinations(pool, 2):
-        if lcm(A.period, B.period) == s:
-            out.extend(lift_mixed_pair(A, B))
-    for A, B, C in itertools.combinations(pool, 3):
-        if lcm(A.period, B.period, C.period) == s:
-            out.extend(lift_mixed_triple(A, B, C))
+        for X in by_period[s]:
+            out.extend(lift_homogeneous_3n(X))
+    for k in (2, 3):
+        for periods in itertools.combinations_with_replacement(divisors, k):
+            if lcm(*periods) == s:
+                out.extend(mixed_lifts(by_period, periods))
     out.sort(key=lambda c: tuple(c.points[0]))
     return out

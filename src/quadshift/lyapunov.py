@@ -10,7 +10,7 @@ hit on the critical point x = 0) is floored, as in the scalar exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 from .core import Params, Point3, escape_radius
 from .errors import Diverged
@@ -43,6 +43,9 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
         raise ValueError("n_iter must be >= 1")
     if transient < 0:
         raise ValueError(f"transient must be >= 0, got {transient}")
+    # NaN passes every escape test and floors every log
+    if not all(map(isfinite, p0)):
+        raise ValueError(f"start must be finite, got {tuple(p0)}")
     b = params.b
     R = escape_radius(b)
     x, y, z = p0.x, p0.y, p0.z
@@ -69,6 +72,8 @@ def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
         raise ValueError("n_iter must be >= 1")
     if transient < 0:
         raise ValueError(f"transient must be >= 0, got {transient}")
+    if not isfinite(x0):
+        raise ValueError(f"start must be finite, got {x0}")
     b = params.b
     R = escape_radius(b)
     x = x0

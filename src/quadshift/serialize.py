@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .basins import DIVERGENT, RETRY_FACTOR, UNDECIDED, BasinGrid
+from .basins import (DIVERGENT, MERGE_TOL, RETRY_FACTOR, TAIL_SAMPLES,
+                     UNDECIDED, BasinGrid)
 from .core import escape_radius
 
 INDENT = "  "    # per JSON nesting level
@@ -234,7 +235,7 @@ def cycle3d_payload(c) -> dict:
         "provenance": {
             "kind": c.provenance.kind,
             "sources": list(c.provenance.sources),
-            "seed": list(c.provenance.seed),
+            "seed": list(c.points[0]),
         },
     }
 
@@ -261,8 +262,8 @@ def basin_sidecar(grid: BasinGrid) -> dict:
             "escape_radius": escape_radius(grid.b),
             "signature_samples": opts.signature_samples,
             "match_tol": opts.match_tol,
-            "merge_tol": opts.merge_tol,
-            "tail_samples": opts.tail_samples,
+            "merge_tol": MERGE_TOL,
+            "tail_samples": TAIL_SAMPLES,
             "retry_factor": RETRY_FACTOR,
         },
         "labels": {

@@ -430,7 +430,7 @@ def test_slice_labels_match_the_reference_kernels(monkeypatch, fixed_axis):
 
 
 @pytest.mark.parametrize("kwargs, field", [
-    ({"tail_samples": 0}, "tail_samples"),
+    ({"match_tol": float("inf")}, "match_tol"),
     ({"max_iter": -1}, "max_iter"),
     ({"transient": -1}, "transient"),
     ({"max_iter": 0, "transient": 0}, "max_iter + transient"),
@@ -448,8 +448,8 @@ def test_options_reject_empty_tails(kwargs, field):
                                         (-1.3, BasinOptions())])
 def test_slice_traced_peak_stays_below_3mb(b, options):
     # tail samples are gathered per sample from the stream table: the
-    # (cells, tail_samples, 3) tail tensor alone would be 3.84 MB here
-    assert options.tail_samples == 16
+    # (cells, TAIL_SAMPLES, 3) tail tensor alone would be 3.84 MB here
+    assert basins.TAIL_SAMPLES == 16
     params = Params(b)
     cat = build_catalog(params, options=options)
     spec = SliceSpec(nu=100, nv=100)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,39 @@ def test_negative_values_parse_in_pair_flags():
     assert r.returncode == 0
 
 
+# every float flag but --match-tol, which BasinOptions checks by field name
+NON_FINITE = [
+    (("lyapunov", "--b", "-1", "--x0", "nan,0,0", "--iters", "10",
+      "--transient", "0"), "--x0"),
+    (("lyapunov", "--b", "nan", "--iters", "10"), "--b"),
+    (("orbit", "--b", "-1", "--x0", "0,inf,0", "--n", "5"), "--x0"),
+    (("preimages", "--b", "-1.3", "--point", "0.4,-inf,0.7"), "--point"),
+    (("diagram", "--b-min", "nan", "--b-max", "-0.4", "--steps", "2"),
+     "--b-min"),
+    (("diagram", "--b-min", "-0.5", "--b-max", "inf", "--steps", "2"),
+     "--b-max"),
+    (("bifurcations", "--kind", "flip", "--bracket", "nan,-0.7"),
+     "--bracket"),
+    (("census", "--b", "inf", "--period", "6"), "--b"),
+    (("lift", "--b", "nan", "--periods", "1,2"), "--b"),
+    (("basin", "--b", "-0.4", "--u-range", "nan,1"), "--u-range"),
+    (("basin", "--b", "-0.4", "--v-range", "-1,inf"), "--v-range"),
+    (("basin", "--b", "-0.4", "--slice", "z=nan"), "--slice"),
+    (("basin", "--b", "-0.4", "--seeds", "0.1,0.2,nan"), "--seeds"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in NON_FINITE])
+def test_non_finite_floats_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a finite number" in err
+    assert "config:" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # stdout payloads
 
@@ -123,6 +157,15 @@ def test_census_searches_out_to_beta():
 def test_search_settings_are_unknown_flags(argv, capsys):
     assert main(list(argv)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_census_rejects_a_period_below_one(tmp_path, capsys, period):
+    out = tmp_path / "census.json"
+    assert main(["census", "--b", "-1", "--period", period,
+                 "--out", str(out)]) == 1
+    assert "period must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_census_past_the_scalar_wrap():
@@ -268,7 +311,7 @@ def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
 
 
 @pytest.mark.parametrize("flags, field", [
-    (("--tail-samples", "0"), "tail_samples"),
+    (("--match-tol", "inf"), "match_tol"),
     (("--max-iter", "0", "--transient", "0"), "max_iter + transient"),
     (("--signature-samples", "0"), "signature_samples"),
     (("--match-tol", "0"), "match_tol"),
@@ -314,18 +357,20 @@ def test_basin_config_echoes_every_basin_flag(tmp_path):
     csv = tmp_path / "basin.csv"
     base = ("basin", "--b", "-0.4", "--res", "4,3", "--out", str(csv))
     configs = []
-    for extra in ((), ("--tail-samples", "8", "--seeds", "0.1,0.2,0.3")):
+    for extra in ((), ("--match-tol", "0.2", "--seeds", "0.1,0.2,0.3")):
         r = run(*base, *extra)
         assert r.returncode == 0, r.stderr
         cfg = json.loads(r.stderr.splitlines()[0][len("config: "):])
         assert json.loads((tmp_path / "basin.meta.json").read_text())[
             "config"] == cfg
-        assert set(cfg) - {"subcommand"} == _basin_flags() - {"help", "out",
-                                                              "ppm"}
+        # the two former flags, now constants, keep their keys
+        assert set(cfg) - {"subcommand"} == _basin_flags() - {
+            "help", "out", "ppm"} | {"merge_tol", "tail_samples"}
         configs.append(cfg)
     default, custom = configs
-    assert (default["tail_samples"], default["seeds"]) == (16, None)
-    assert (custom["tail_samples"], custom["seeds"]) == (8, [[0.1, 0.2, 0.3]])
+    assert (default["match_tol"], default["seeds"]) == (0.05, None)
+    assert (custom["match_tol"], custom["seeds"]) == (0.2, [[0.1, 0.2, 0.3]])
+    assert (custom["merge_tol"], custom["tail_samples"]) == (0.3, 16)
 
 
 def test_diagram_csv_shape(tmp_path):
@@ -352,18 +397,22 @@ def test_diagram_to_file_and_to_stdout_are_the_same_bytes(tmp_path):
 
 
 # Identical command lines give byte-identical files, release after release:
-# SHA-256 of each output, pinned from the per-value writers these outputs
-# were first written with.
+# SHA-256 of each output: the first three pinned from the per-value writers
+# these outputs were first written with, the rest from the lift and census
+# enumeration that preceded `cycles.mixed_lifts`.
 PINNED = [
-    (("diagram", "--b-min", "-1.99", "--b-max", "-0.3", "--steps", "800",
+    ("diagram",
+     ("diagram", "--b-min", "-1.99", "--b-max", "-0.3", "--steps", "800",
       "--x0", "0,-0.5,0", "--transient", "1000", "--samples", "200",
       "--out", "diagram.csv"),
      {"diagram.csv": "0e389b85f1bdbe727763fee8199596a8"
                      "f9daebfc4e4122cf6d55777448fa54f8"}),
-    (("census", "--b", "-2", "--period", "11", "--out", "census.json"),
+    ("census",
+     ("census", "--b", "-2", "--period", "11", "--out", "census.json"),
      {"census.json": "2df55d1c48a5765f9ed90bbd47070d8c"
                      "d135e019939c16373a5856e6ef7371a8"}),
-    (("basin", "--b", "-1.864", "--slice", "z=0.5", "--u-range", "-2,2",
+    ("basin",
+     ("basin", "--b", "-1.864", "--slice", "z=0.5", "--u-range", "-2,2",
       "--v-range", "-2,2", "--res", "20,20", "--signature-samples", "4096",
       "--match-tol", "0.3", "--out", "basin.csv", "--ppm", "basin.ppm"),
      {"basin.csv": "ef7357c628a21fa3be860d1104b3be62"
@@ -372,11 +421,23 @@ PINNED = [
                          "c7106c74d134646fc823d7a374f76102",
       "basin.ppm": "c39099f7c4b4808f456139dc9a8d6886"
                    "ad5a26044969eda528897f220576aae2"}),
+    ("lift_pairs", ("lift", "--b", "-1", "--periods", "1,2",
+                    "--out", "lift_pairs.json"),
+     {"lift_pairs.json": "4708962ff3571803cdc2f3ecb70132b3"
+                         "41ddca8333ed806078c3840994f0135f"}),
+    ("lift_3n", ("lift", "--b", "-1", "--periods", "2", "--times3",
+                 "--out", "lift_3n.json"),
+     {"lift_3n.json": "e9dfbd8db5ab4bcbbc6bc4c621c63a20"
+                      "db02276331dc75d1be5ec4de494f2b4c"}),
+    ("census6", ("census", "--b", "-1", "--period", "6",
+                 "--out", "census6.json"),
+     {"census6.json": "0225a0765614f874d79fbe8ef880187b"
+                      "e240fd387204eabc72a4692f8179aa6d"}),
 ]
 
 
-@pytest.mark.parametrize("argv, digests", PINNED,
-                         ids=[argv[0] for argv, _ in PINNED])
+@pytest.mark.parametrize("argv, digests", [pin[1:] for pin in PINNED],
+                         ids=[pin[0] for pin in PINNED])
 def test_outputs_match_pinned_digests(tmp_path, argv, digests):
     r = run(*argv, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
@@ -405,6 +466,30 @@ def test_lift_pairs_and_triple_period_lifts():
     pay3 = json.loads(r3.stdout)
     assert pay3["count"] == 1
     assert pay3["cycles"][0]["period"] == 6
+
+
+def _lift_orbit_sets(capsys, b, periods):
+    assert main(["lift", "--b", b, "--periods", periods]) == 0
+    pay = json.loads(capsys.readouterr().out)
+    assert pay["count"] == len(pay["cycles"])
+    return {frozenset(map(tuple, c["points"])) for c in pay["cycles"]}
+
+
+@pytest.mark.parametrize("orders", [("1,1,3", "1,3,1", "3,1,1"),
+                                    ("1,3", "3,1")])
+def test_lift_counts_and_orbits_do_not_depend_on_period_order(capsys,
+                                                              orders):
+    # at b = -1.9 both fixed points and both 3-cycles are real
+    real = {1: 2, 3: 2}
+    periods = [int(n) for n in orders[0].split(",")]
+    source_sets = math.prod(math.comb(real[n], k)
+                            for n, k in Counter(periods).items())
+    # 2nmp/lcm orbits per triple of sources, (n+m)nm/lcm per pair
+    weave = 2 if len(periods) == 3 else sum(periods)
+    per_set = weave * math.prod(periods) // math.lcm(*periods)
+    found = [_lift_orbit_sets(capsys, "-1.9", order) for order in orders]
+    assert all(len(orbits) == source_sets * per_set for orbits in found)
+    assert all(orbits == found[0] for orbits in found)
 
 
 def test_times3_needs_single_period():

@@ -11,10 +11,9 @@ from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
                        fixed_point_cycles_1d, fixed_points_T, jacobian_T,
                        lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
                        lift_mixed_triple, stability_block_length)
-from quadshift.cycles import (DEGENERATE_TOL, ORBIT_DEDUP_TOL, STABILITY_TOL,
-                              _bisect_brackets, _degenerate_flags,
-                              _first_distinct, _newton_1d, _newton_1d_array,
-                              _residual_1d)
+from quadshift.cycles import (ORBIT_DEDUP_TOL, STABILITY_TOL,
+                              _bisect_brackets, _first_distinct, _newton_1d,
+                              _newton_1d_array, _residual_1d)
 
 
 def two_cycle_points(b):
@@ -57,7 +56,6 @@ def test_two_cycle_at_minus_one_is_zero_and_minus_one():
     c = found[0]
     assert c.points == (-1.0, 0.0)
     assert c.multiplier == 0.0
-    assert not c.degenerate
     assert cycle1d_label(c) == "n2@-1"
 
 
@@ -186,7 +184,6 @@ def test_tangent_cycle_is_found_at_the_fold_itself():
     found = find_cycles_1d(Params(-1.75), 3)
     assert len(found) == 1
     assert found[0].multiplier == pytest.approx(1.0, abs=1e-6)
-    assert not any(c.degenerate is None for c in found)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +309,9 @@ def _reference_first_distinct(keys):
     return kept
 
 
-def _reference_degenerate_flags(keys):
-    # the quadratic degeneracy scan the sorted sweep replaces
-    flags = [False] * len(keys)
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if max(abs(a - c) for a, c in zip(keys[i], keys[j])) < DEGENERATE_TOL:
-                flags[i] = flags[j] = True
-    return flags
-
-
-# offsets at, just inside and just outside both tolerances and the dedup
-# window 2e-9; added to base 0.0 they give differences that are exactly
-# the tolerance or the window
+# offsets at, just inside and just outside the tolerance and the dedup
+# window 2e-9, and wider ones that keep keys apart; added to base 0.0 they
+# give differences that are exactly the tolerance or the window
 _EDGES = [1e-9, 2e-9, 1e-7, 5e-10, 5e-8, 2e-7]
 _OFFSETS = [0.0] + [s * v for e in _EDGES for s in (1.0, -1.0)
                     for v in (e, float(np.nextafter(e, 0.0)),
@@ -348,7 +335,5 @@ def _clustered_keys(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_clustered_keys())
-def test_windowed_dedup_and_sweep_match_the_quadratic_loops(keys):
+def test_windowed_dedup_matches_the_quadratic_loop(keys):
     assert _first_distinct(keys) == _reference_first_distinct(keys)
-    by_min = sorted(keys, key=lambda k: k[0])
-    assert _degenerate_flags(by_min) == _reference_degenerate_flags(by_min)

@@ -115,9 +115,9 @@ def test_homogeneous_lift_of_two_cycle(at_minus_one):
     assert c.period == 2
     assert c.provenance.kind == "homogeneous"
     # t = 3^-1 mod 2 = 1: state 0 is (X0, X[t], X[2t]) = (X0, X1, X0)
-    assert tuple(c.provenance.seed) == (-1.0, 0.0, -1.0)
+    assert tuple(c.points[0]) == (-1.0, 0.0, -1.0)
     # closure re-checked independently
-    p = Point3(*c.provenance.seed)
+    p = c.points[0]
     q = apply_T(apply_T(p, params), params)
     assert max(abs(a - b) for a, b in zip(p, q)) < 1e-12
 
@@ -128,8 +128,8 @@ def test_homogeneous_lift_of_four_cycle(at_minus_13):
     assert c.period == 4
     X = c4.points
     # t = 3^-1 mod 4 = 3: state 0 is (X0, X[t], X[2t]) = (X0, X3, X2), and
-    # X0 is the smallest point, so the seed is the orbit's first point
-    assert tuple(c.provenance.seed) == (X[0], X[3], X[2])
+    # X0 is the smallest point, so it is the orbit's first point
+    assert tuple(c.points[0]) == (X[0], X[3], X[2])
 
 
 def test_homogeneous_lift_rejects_multiples_of_three(at_minus_one):
@@ -149,7 +149,6 @@ def test_3n_lift_count_and_orbits_n2(at_minus_one):
     lifted = lift_homogeneous_3n(c2)
     assert len(lifted) == 1
     assert lifted[0].period == 6
-    assert lifted[0].provenance.seed == lifted[0].points[0]
     # oracle: h = cyclic shift on 2 symbols; minimal-period-6 index orbits
     oracle = index_orbits(2, {0: 1, 1: 0}, 6)
     assert len(oracle) == 1
@@ -323,6 +322,12 @@ def test_census_period_six_at_minus_one(at_minus_one):
     assert len(oracle) == 9
     sets = [[tuple(vals[i] for i in trip) for trip in orb] for orb in oracle]
     match_orbit_sets(sets, found)
+
+
+@pytest.mark.parametrize("period", [0, -1, -3])
+def test_census_rejects_a_period_below_one(period):
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        census(Params(-1.0), period)
 
 
 def test_census_period_three_at_minus_one(at_minus_one):

@@ -135,3 +135,13 @@ def test_spectrum_rejects_bad_arguments():
         lyapunov_spectrum(Point3(5.0, 0.0, 0.0), Params(-1.0), transient=-5)
     with pytest.raises(ValueError, match="transient must be >= 0, got -5"):
         lyapunov_1d(5.0, Params(-1.0), transient=-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectrum_rejects_a_non_finite_start(bad):
+    # NaN would pass every escape test and floor every log
+    with pytest.raises(ValueError, match="start must be finite"):
+        lyapunov_spectrum(Point3(0.1, bad, 0.3), Params(-1.0), n_iter=10,
+                          transient=0)
+    with pytest.raises(ValueError, match="start must be finite"):
+        lyapunov_1d(bad, Params(-1.0), n_iter=10, transient=0)

@@ -117,6 +117,7 @@ def test_cycle3d_payload_keys():
     assert set(pay) == {"period", "stability", "eigenvalues", "points",
                         "provenance"}
     assert set(pay["provenance"]) == {"kind", "sources", "seed"}
+    assert pay["provenance"]["seed"] == pay["points"][0]
     assert len(pay["points"]) == pay["period"]
 
 
