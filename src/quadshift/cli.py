@@ -10,6 +10,7 @@ does not list each grid cell once).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -226,6 +227,8 @@ def _cmd_lyapunov(args):
 
 
 def _cmd_critical_planes(args):
+    if args.k_max < -1:
+        raise ValueError("--k-max must be >= -1")
     cfg = {"subcommand": "critical-planes", "b": args.b, "k_max": args.k_max}
     _echo(cfg)
     params = Params(args.b)
@@ -483,5 +486,14 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run() -> int:
+    """The process entry of `python -m quadshift` and the `quadshift`
+    script: freeze the heap the imports left, then run `main`.
+
+    The imports leave some 45k objects of numpy and scipy that the
+    garbage collector tracks; every full collection walks them again,
+    and interpreter shutdown runs several.  Frozen, no later collection
+    visits them.  `main(argv)` is the in-process call and leaves the
+    collector as it found it."""
+    gc.freeze()
+    return main()

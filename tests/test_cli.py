@@ -4,8 +4,11 @@ Everything here goes through `python -m quadshift` so the argv plumbing,
 not just the command functions, is on the hook.
 """
 import argparse
+import ast
 import dataclasses
+import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -17,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from quadshift import BasinOptions, serialize
+from quadshift import __main__ as entry
+from quadshift import cli
 from quadshift.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "quadshift"]
@@ -195,6 +200,16 @@ def test_critical_planes_row_count():
     lines = r.stdout.splitlines()
     assert lines[0] == "k,axis,offset"
     assert len(lines) == 1 + 8          # k = -1 .. 6
+
+
+@pytest.mark.parametrize("k_max", ["-2", "-5"])
+def test_critical_planes_rejects_k_max_below_minus_one(tmp_path, capsys,
+                                                       k_max):
+    out = tmp_path / "planes.csv"
+    assert main(["critical-planes", "--b", "-1", "--k-max", k_max,
+                 "--out", str(out)]) == 1
+    assert "--k-max must be >= -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stdout_is_byte_identical_between_runs():
@@ -495,3 +510,49 @@ def test_lift_counts_and_orbits_do_not_depend_on_period_order(capsys,
 def test_times3_needs_single_period():
     assert run("lift", "--b", "-1", "--periods", "1,2", "--times3")\
         .returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# process entry
+
+
+def test_run_freezes_the_heap_then_runs_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["quadshift", "--version"])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "quadshift 0.1.0\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["fixed-points", "--b", "-0.4"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_stdout_matches_in_process_file(tmp_path, capsys,
+                                                monkeypatch):
+    # nothing buffered is lost when the process entry exits
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    args = ["census", "--b", "-1", "--period", "6"]
+    out = tmp_path / "census.json"
+    assert main([*args, "--out", str(out)]) == 0
+    r = run(*args, text=False)
+    assert r.returncode == 0
+    assert r.stdout == out.read_bytes()
+
+
+def test_script_entry_is_what_python_m_calls():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = target["quadshift"].partition(":")
+    # `raise SystemExit(f())`: the name of f
+    called = [node.exc.args[0].func.id
+              for node in ast.walk(ast.parse(Path(entry.__file__).read_text()))
+              if isinstance(node, ast.Raise)]
+    assert len(called) == 1
+    assert getattr(importlib.import_module(module), name) \
+        is getattr(entry, called[0])
