@@ -6,12 +6,12 @@ point-cloud signature of consecutive states; a seed whose limit set lies
 within tolerance of an earlier one is dropped, by a Hausdorff test whose
 queries are bounded by the tolerance and which stops at the first
 direction with a point out of it.  Grid cells are then iterated as three
-scalar streams, since T^3 acts on each coordinate through H(u) = u^2 + b:
-every distinct start value of the batch is iterated once under H, and
-each cell's escape test is read off its three streams, bit-equal to
-stepping the 3D map.  The post-transient tail is never stored per cell:
-sample t of the cells still in play is gathered from the table of kept
-H-iterates when it is needed.  Tails are matched against the signatures
+scalar streams on the batch engine `core._evolve`: every distinct start
+value of the batch is iterated once under H(u) = u^2 + b, and each
+cell's escape test is read off its three streams, bit-equal to stepping
+the 3D map.  The post-transient tail is never stored per cell: sample t
+of the cells still in play is gathered from the table of kept H-iterates
+when it is needed.  Tails are matched against the signatures
 by sup-distance nearest neighbors, bounded by each cell's best attractor
 so far: against an attractor, matching stops at a cell's first tail
 sample at or beyond its best distance (match_tol before any match).  A
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Params, Point3, escape_radius, orbit
+from .core import Params, Point3, _evolve, escape_radius, orbit
 from .errors import Diverged, PaletteMissingLabel
 
 DIVERGENT = -1
@@ -130,74 +130,7 @@ def default_seeds() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# batch orbit engine
-
-
-@dataclass(frozen=True)
-class _Streams:
-    """A batch's tail samples, kept as the scalar streams they are read off.
-
-    Row m - first//3 of `kept` holds H^m of every distinct start value, for
-    the m that tail samples reach; `inv[r]` maps each cell to the distinct
-    value of its coordinate r.  Column c of tail sample t is s_{first+t+c}.
-    """
-    kept: np.ndarray    # (rows, distinct start values)
-    inv: np.ndarray     # (3, cells)
-    first: int          # stream index of column 0 of tail sample 0
-    samples: int        # tail samples per cell
-
-    def sample(self, cells, t):
-        """Tail sample t of `cells` as a (cells.size, 3) block, bit-equal to
-        `tails[cells, t]` of the full (cells, samples, 3) tail tensor."""
-        j = self.first + t + np.arange(3)
-        return self.kept[j // 3 - self.first // 3,
-                         self.inv[j % 3, cells[:, None]]]
-
-
-def _evolve(X, Y, Z, b, n_steps, tail_n, R):
-    """Advance a batch of states n_steps (>= 1); keep the last tail_n states.
-
-    Returns (escaped mask, _Streams of the last tail_n states), bit-equal
-    to stepping the 3D map, but the batch is never stepped in 3D.  With
-    s_0, s_1, s_2 = x, y, z and s_{j+3} = H(s_j), the state after step k
-    is (s_{k+1}, s_{k+2}, s_{k+3}), so s_{3m+r} = H^m(start_r): a cell is
-    three scalar streams.  Every distinct start value (by bit pattern, so
-    -0.0 stays apart from 0.0) is iterated once, (n_steps+2)//3 steps of H.
-    A cell escaped iff some |s_j| > R for 1 <= j <= n_steps+2, and tail
-    sample i, column c is s_{rec0+1+i+c}, one of the few iterates kept.
-    Escaped streams keep iterating toward inf -- cheap and NaN-free.
-    """
-    N = X.size
-    tail_n = min(tail_n, n_steps)
-    rec0 = n_steps - tail_n
-    starts = np.concatenate((X, Y, Z)).astype(np.float64)
-    keys, inv = np.unique(starts.view(np.int64), return_inverse=True)
-    inv = inv.reshape(3, N)
-    w = keys.view(np.float64)
-    n_iter = (n_steps + 2) // 3         # s_{n_steps+2} is H^n_iter of some start
-    m_lo = (rec0 + 1) // 3              # the first tail sample is H^m_lo of some start
-    kept = np.empty((n_iter - m_lo + 1, w.size))
-    hit = np.zeros(w.size, dtype=bool)  # |H^m(u)| > R for some 1 <= m <= current
-    hits_upto = {}                      # the last two m: where the streams' tests end
-    with np.errstate(over="ignore", invalid="ignore"):
-        hit0 = np.abs(w) > R
-        for m in range(n_iter + 1):
-            if m:
-                w = w * w + b
-                hit = hit | (np.abs(w) > R)
-            if m >= m_lo:
-                kept[m - m_lo] = w
-            if m >= n_iter - 1:
-                hits_upto[m] = hit
-    escaped = np.zeros(N, dtype=bool)
-    for r in range(3):
-        # stream r is tested up to m = (n_steps+2-r)//3, n_iter or n_iter-1;
-        # x is first tested after its first step, y and z already at m = 0
-        esc = hits_upto[(n_steps + 2 - r) // 3]
-        if r:
-            esc = esc | hit0
-        escaped |= esc[inv[r]]
-    return escaped, _Streams(kept, inv, rec0 + 1, tail_n)
+# batch classification
 
 
 def _match_tails(streams, bounded, attractors, match_tol):
@@ -259,19 +192,15 @@ def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
     """(kind, period, signature) of the seed's limit set, or None when a
     state it records, or one before them, leaves the escape ball."""
     try:
-        probe = orbit(seed, params,
-                      max(CYCLE_SEARCH + 1, options.signature_samples),
-                      options.transient)
+        probe = np.array([tuple(p) for p in orbit(
+            seed, params, max(CYCLE_SEARCH + 1, options.signature_samples),
+            options.transient)])
     except Diverged:
         return None
-    p0 = probe[0]
     for k in range(1, CYCLE_SEARCH + 1):
-        if max(abs(probe[k].x - p0.x), abs(probe[k].y - p0.y),
-               abs(probe[k].z - p0.z)) < CYCLE_TOL:
-            kind = "fixed_point" if k == 1 else "cycle"
-            return kind, k, np.array([tuple(p) for p in probe[:k]])
-    return "chaotic", None, np.array(
-        [tuple(p) for p in probe[:options.signature_samples]])
+        if np.abs(probe[k] - probe[0]).max() < CYCLE_TOL:
+            return ("fixed_point" if k == 1 else "cycle"), k, probe[:k]
+    return "chaotic", None, probe[:options.signature_samples]
 
 
 def _within_hausdorff(A, B, tol):
@@ -295,31 +224,19 @@ def build_catalog(params: Params, seeds=None,
     found = []
     for seed in seeds:
         res = _limit_set_of(seed, params, options)
-        if res is None:
-            continue
-        kind, period, sig = res
-        dup = False
-        for okind, operiod, osig in found:
-            if kind in ("fixed_point", "cycle") and okind in ("fixed_point", "cycle"):
-                if period == operiod and _cycles_equal(sig, osig):
-                    dup = True
-                    break
-            elif kind == "chaotic" and okind == "chaotic":
-                if _within_hausdorff(sig, osig, MERGE_TOL):
-                    dup = True
-                    break
-        if not dup:
-            found.append((kind, period, sig))
+        if res is not None and not any(_same_limit_set(res, f) for f in found):
+            found.append(res)
     return [Attractor(id=i, kind=k, period=per, signature=sig, b=params.b)
             for i, (k, per, sig) in enumerate(found)]
 
 
-def _cycles_equal(sig_a, sig_b, tol=1e-6):
-    # distinct orbits are disjoint point sets, so set distance is the right
+def _same_limit_set(a, b):
+    # distinct cycles are disjoint point sets, so set distance is the right
     # test; sorting coordinates is not (one-ulp noise reshuffles the order)
-    if len(sig_a) != len(sig_b):
-        return False
-    return _within_hausdorff(np.asarray(sig_a), np.asarray(sig_b), tol)
+    (kind, period, sig), (okind, operiod, osig) = a, b
+    if "chaotic" in (kind, okind):
+        return kind == okind and _within_hausdorff(sig, osig, MERGE_TOL)
+    return period == operiod and _within_hausdorff(sig, osig, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ birth, where the tangency system is singular; it is located as the flip
 of its period-n/2 parent, whose multiplier crosses -1 at the same b.
 
 An orbit diagram iterates one start at every parameter of a sweep, all
-parameters at once as arrays, and keeps each one's post-transient
-x-samples.
+parameters at once on the batch engine `core._evolve`, and reads each
+one's post-transient x-samples off the scalar streams it keeps.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, Point3, escape_radius, h1d_n
+from .core import Params, Point3, _check_run, _evolve, escape_radius, h1d_n
 from .cycles import _orbit_1d, _sorted_multiplier, find_cycles_1d
-from .errors import NoEventInBracket, Overflow
+from .errors import NoEventInBracket
 
 
 @dataclass(frozen=True)
@@ -193,41 +193,28 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
     """Post-transient x-samples of one orbit per parameter; divergent
     parameters carry samples=None instead of killing the sweep.
 
-    All parameters are iterated at once, as arrays of the three
-    coordinates.  A parameter's row drops out as soon as its state leaves
-    its escape ball, the test `orbit` applies, so every row holds exactly
-    the x-samples `orbit(p0, Params(b), samples, transient)` records.
+    All parameters are iterated at once, as the scalar streams of the
+    distinct (start value, b) pairs.  A row drops out as soon as its state
+    leaves its escape ball, the test `orbit` applies, so every row holds
+    exactly the x-samples `orbit(p0, Params(b), samples, transient)` records.
     One step (steps=1) samples a single parameter, b_lo == b_hi.
     """
     b_lo, b_hi = b_range
     if steps < 1 or (steps == 1 and b_lo != b_hi):
         raise ValueError("steps must be >= 2, or 1 with b_lo == b_hi")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
+    _check_run(p0, samples, transient, "samples")
     bs = [b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
           for k in range(steps)]
-    b = np.array(bs)
-    x = np.full(steps, p0.x)
-    y = np.full(steps, p0.y)
-    z = np.full(steps, p0.z)
     R = np.array([escape_radius(bv) for bv in bs])
-    bounded = np.ones(steps, dtype=bool)
-    xs = np.empty((steps, samples))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(transient + samples):
-            bounded &= ~((np.abs(x) > R) | (np.abs(y) > R) | (np.abs(z) > R))
-            if k >= transient:
-                xs[:, k - transient] = x
-            kick = x * x + b
-            bad = bounded & ~np.isfinite(kick)
-            if bad.any():
-                raise Overflow(
-                    f"quadratic kick overflowed at x={float(x[bad][0])!r}")
-            x, y, z = y, z, kick
-    rows = tuple(DiagramRow(b=bv, samples=tuple(row.tolist()) if ok else None)
-                 for bv, ok, row in zip(bs, bounded.tolist(), xs))
+    escaped, streams = _evolve(
+        np.full(steps, p0.x), np.full(steps, p0.y), np.full(steps, p0.z),
+        np.array(bs), transient + samples - 1, samples, R)
+    # state k's x is s_k; _evolve never tests s_0, the x of state 0
+    bounded = ~escaped & ~(abs(p0.x) > R)
+    j = transient + np.arange(samples)
+    rows = tuple(DiagramRow(b=bv, samples=tuple(streams.value(j, i).tolist())
+                            if ok else None)
+                 for i, (bv, ok) in enumerate(zip(bs, bounded.tolist())))
     return DiagramDataset(rows=rows)
 
 

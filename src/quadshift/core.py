@@ -1,9 +1,11 @@
 """The map itself: a cyclic coordinate shift with a quadratic kick.
 
 One step sends (x, y, z) to (y, z, x^2 + b).  Three steps act on each
-coordinate independently through the same scalar return map x -> x^2 + b,
-so a 3D orbit is just three interleaved scalar orbits.  Every other
-module in the package leans on that.
+coordinate independently through the same scalar return map H(u) = u^2 + b,
+so a 3D orbit is three interleaved scalar streams, s_{3m+r} = H^m(start_r),
+and state k is (s_k, s_{k+1}, s_{k+2}).  `_iterates` is the one loop that
+applies H to a stream: `orbit`, the Lyapunov sums and the batch `_evolve`
+(basin slices, orbit diagrams) read it, and `_diverged` owns the escape rule.
 
 Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
 coordinate grows without bound, so orbits, spectra, diagrams and basins
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -107,27 +110,132 @@ def jacobian_T(p: Point3) -> np.ndarray:
     ])
 
 
+# ---------------------------------------------------------------------------
+# the scalar-stream engine
+
+
+def _iterates(u, b):
+    """u, H(u), H^2(u), ... for a float or an ndarray u (b a float or an
+    array matching u): the one loop that applies H to a stream."""
+    while True:
+        yield u
+        u = u * u + b
+
+
+def _check_run(start, n, transient, name):
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
+    # NaN passes every escape test, and inf would escape at step 0
+    if not all(map(math.isfinite, start)):
+        raise ValueError(f"start must be finite, got {tuple(start)}")
+
+
+def _samples(p0: Point3, b: float):
+    """s_0, s_1, s_2, ... of a 3D orbit: s_{3m+r} = H^m(start_r)."""
+    return chain.from_iterable(zip(*(_iterates(u, b) for u in p0)))
+
+
+def _diverged(p0: Point3, b: float, R: float) -> Diverged:
+    """The Diverged of an orbit that leaves the ball: state k is out iff some
+    |s_j| > R, k <= j <= k+2, so the first such j gives state max(0, j-2)."""
+    j = next(j for j, u in enumerate(_samples(p0, b)) if abs(u) > R)
+    k = max(0, j - 2)
+    return Diverged(k, Point3(*islice(_samples(p0, b), k, k + 3)))
+
+
 def orbit(p0: Point3, params: Params, n: int,
           transient: int = 0) -> list[Point3]:
     """Iterate `transient` steps unrecorded, then record n consecutive states.
 
-    Raises Diverged with the absolute step index as soon as a state leaves
-    the escape ball, so callers can tell transient blowup from late escape.
+    The states are read off the three scalar streams of the start.  Raises
+    Diverged with the absolute step index as soon as a state leaves the
+    escape ball, so callers can tell transient blowup from late escape.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
-    R = escape_radius(params.b)
-    p = p0
-    for k in range(transient):
-        if p.max_abs() > R:
-            raise Diverged(k, p)
-        p = apply_T(p, params)
-    out = []
-    for k in range(n):
-        if p.max_abs() > R:
-            raise Diverged(transient + k, p)
-        out.append(p)
-        p = apply_T(p, params)
-    return out
+    _check_run(p0, n, transient, "n")
+    b = params.b
+    R = escape_radius(b)
+    s = []
+    for j, u in enumerate(islice(_samples(p0, b), transient + n + 2)):
+        if abs(u) > R:
+            raise _diverged(p0, b, R)
+        if j >= transient:
+            s.append(u)
+    return list(map(Point3, s, s[1:], s[2:]))
+
+
+@dataclass(frozen=True)
+class _Streams:
+    """A batch's tail samples, kept as the scalar streams they are read off.
+
+    Row m - first//3 of `kept` holds H^m of every distinct start, for the m
+    that tail samples reach; `inv[r]` maps each cell to the distinct start
+    of its coordinate r.  Column c of tail sample t is s_{first+t+c}."""
+    kept: np.ndarray    # (rows, distinct starts)
+    inv: np.ndarray     # (3, cells)
+    first: int          # stream index of column 0 of tail sample 0
+    samples: int        # tail samples per cell
+
+    def value(self, j, cells):
+        """s_j of `cells`, j in 3*(first//3) .. first+samples+1, broadcast."""
+        return self.kept[j // 3 - self.first // 3, self.inv[j % 3, cells]]
+
+    def sample(self, cells, t):
+        """Tail sample t of `cells` as a (cells.size, 3) block, bit-equal to
+        `tails[cells, t]` of the full (cells, samples, 3) tail tensor."""
+        return self.value(self.first + t + np.arange(3), cells[:, None])
+
+
+def _evolve(X, Y, Z, b, n_steps, tail_n, R):
+    """Advance a batch of states n_steps (>= 0); keep the last tail_n states.
+
+    b and R are floats or one value per cell (equal R for equal b).
+    Returns (escaped mask, _Streams of the last tail_n states), bit-equal
+    to stepping the 3D map, but the batch is never stepped in 3D: the state
+    after step k is (s_{k+1}, s_{k+2}, s_{k+3}), and every distinct (start
+    value, b) pair, by bit pattern (so -0.0 stays apart from 0.0), runs
+    (n_steps+2)//3 steps of H.  A cell escaped iff some |s_j| > R for
+    1 <= j <= n_steps+2 (s_0 is never tested); tail sample i, column c is
+    s_{first+i+c}.  Escaped streams run on toward inf, cheap and NaN-free.
+    """
+    N = X.size
+    tail_n = min(tail_n, n_steps)
+    first = n_steps - tail_n + 1
+    s_keys, s_inv = np.unique(np.concatenate((X, Y, Z), dtype=np.float64)
+                              .view(np.int64), return_inverse=True)
+    b_keys, b_inv = np.unique(np.asarray(b, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    nb = b_keys.size
+    R_b = np.empty(nb)
+    R_b[b_inv] = R
+    code = s_inv.reshape(3, N)     # each (start, b) pair as one int, in place
+    code *= nb
+    code += b_inv.reshape(-1)
+    keys, inv = np.unique(code, return_inverse=True)
+    inv = inv.reshape(3, N)
+    w0 = s_keys[keys // nb].view(np.float64)
+    bw, Rw = b_keys.view(np.float64)[keys % nb], R_b[keys % nb]
+    n_iter = (n_steps + 2) // 3         # s_{n_steps+2} is H^n_iter of some start
+    m_lo = first // 3                   # the first tail sample is H^m_lo of some start
+    kept = np.empty((n_iter - m_lo + 1, w0.size))
+    hit0 = np.abs(w0) > Rw
+    hit = np.zeros(w0.size, dtype=bool)  # |H^m(u)| > R for some 1 <= m <= current
+    hits_upto = {}                      # the last two m: where the streams' tests end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, w in enumerate(islice(_iterates(w0, bw), n_iter + 1)):
+            if m:
+                hit = hit | (np.abs(w) > Rw)
+            if m >= m_lo:
+                kept[m - m_lo] = w
+            if m >= n_iter - 1:
+                hits_upto[m] = hit
+    escaped = np.zeros(N, dtype=bool)
+    for r in range(3):
+        # stream r is tested up to m = (n_steps+2-r)//3, n_iter or n_iter-1;
+        # x is first tested after its first step, y and z already at m = 0
+        esc = hits_upto[(n_steps + 2 - r) // 3]
+        if r:
+            esc = esc | hit0
+        escaped |= esc[inv[r]]
+    return escaped, _Streams(kept, inv, first, tail_n)

@@ -22,7 +22,7 @@ from math import lcm, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, h1d_n, search_interval
+from .core import Params, Point3, _iterates, h1d_n, search_interval
 from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
@@ -68,10 +68,7 @@ def cycle1d_label(c: Cycle1D) -> str:
 
 def _orbit_1d(x, b, n):
     # n consecutive points of the scalar orbit of x
-    pts = [x]
-    for _ in range(n - 1):
-        pts.append(pts[-1] * pts[-1] + b)
-    return pts
+    return list(itertools.islice(_iterates(x, b), n))
 
 
 def _sorted_multiplier(points) -> float:

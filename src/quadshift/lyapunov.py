@@ -4,15 +4,19 @@ Exponents are reported per application of the 3D map (not per three-step
 block).  Three steps act on each coordinate through x -> x^2 + b, so the
 tangent cocycle over a block is diag(2x, 2y, 2z): step k stretches only
 the stream k mod 3, by |2x_k|, and each exponent is that stream's sum of
-log|2x_k| over all steps.  A log argument at or below LOG_FLOOR (an exact
-hit on the critical point x = 0) is floored, as in the scalar exponent.
+log|2x_k| over all steps, read off `core._iterates` one stream at a time
+in constant memory; the scalar exponent is that sum on one stream.  A log
+argument at or below LOG_FLOOR (an exact hit on the critical point x = 0)
+is floored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
+from itertools import islice
+from math import log
 
-from .core import Params, Point3, escape_radius
+from .core import (Params, Point3, _check_run, _diverged, _iterates,
+                   escape_radius)
 from .errors import Diverged
 
 LOG_FLOOR = 1e-300
@@ -32,6 +36,24 @@ class Exponent1D:
     n_used: int
 
 
+def _log_sum(u, b, R, lo, hi, end):
+    """(sum, floored): the sum of log|2 H^m(u)| over lo <= m < hi, each log
+    argument floored at LOG_FLOOR, and whether one was.  Raises Diverged(m)
+    at the first m < end with |H^m(u)| > R.  Keeps no stream."""
+    s = 0.0
+    floored = False
+    for m, v in enumerate(islice(_iterates(u, b), end)):
+        if abs(v) > R:
+            raise Diverged(m)
+        if lo <= m < hi:
+            g = 2.0 * abs(v)
+            if g <= LOG_FLOOR:
+                g = LOG_FLOOR
+                floored = True
+            s += log(g)
+    return s, floored
+
+
 def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
                       transient: int = 10**4) -> LyapunovResult:
     """Per-stream averages of log|2x| along one orbit, descending.
@@ -39,28 +61,16 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
     Step k adds log|2x_k| to stream k mod 3; every stream sum is divided
     by n_iter.  Deterministic: no randomness, fixed order.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
-    # NaN passes every escape test and floors every log
-    if not all(map(isfinite, p0)):
-        raise ValueError(f"start must be finite, got {tuple(p0)}")
+    _check_run(p0, n_iter, transient, "n_iter")
     b = params.b
     R = escape_radius(b)
-    x, y, z = p0.x, p0.y, p0.z
-    for k in range(transient):
-        if abs(x) > R or abs(y) > R or abs(z) > R:
-            raise Diverged(k, Point3(x, y, z))
-        x, y, z = y, z, x * x + b
-
-    sums = [0.0, 0.0, 0.0]
-    for k in range(n_iter):
-        if abs(x) > R or abs(y) > R or abs(z) > R:
-            raise Diverged(transient + k, Point3(x, y, z))
-        g = abs(2.0 * x)
-        sums[k % 3] += log(g if g > LOG_FLOOR else LOG_FLOOR)
-        x, y, z = y, z, x * x + b
+    # stream r holds s_{3m+r}: the m of its summed and its tested samples
+    bounds = (transient, transient + n_iter, transient + n_iter + 2)
+    try:
+        sums = [_log_sum(u, b, R, *((j - r + 2) // 3 for j in bounds))[0]
+                for r, u in enumerate(p0)]
+    except Diverged:
+        raise _diverged(p0, b, R) from None
     exps = tuple(sorted((s / n_iter for s in sums), reverse=True))
     return LyapunovResult(exponents=exps, n_used=n_iter, b=b)
 
@@ -68,28 +78,8 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
 def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
                 transient: int = 10**4) -> Exponent1D:
     """Average of log|2x| along the scalar orbit; floored on critical hits."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
-    if not isfinite(x0):
-        raise ValueError(f"start must be finite, got {x0}")
-    b = params.b
-    R = escape_radius(b)
-    x = x0
-    for k in range(transient):
-        if abs(x) > R:
-            raise Diverged(k)
-        x = x * x + b
-    s = 0.0
-    floored = False
-    for k in range(n_iter):
-        if abs(x) > R:
-            raise Diverged(transient + k)
-        g = 2.0 * abs(x)
-        if g <= LOG_FLOOR:
-            g = LOG_FLOOR
-            floored = True
-        s += log(g)
-        x = x * x + b
+    _check_run((x0,), n_iter, transient, "n_iter")
+    end = transient + n_iter
+    s, floored = _log_sum(x0, params.b, escape_radius(params.b), transient,
+                          end, end)
     return Exponent1D(value=s / n_iter, superstable=floored, n_used=n_iter)

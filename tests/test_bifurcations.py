@@ -230,20 +230,28 @@ def test_diagram_single_parameter():
 def test_diagram_rows_are_the_orbit_samples():
     # the parameters run in lockstep as arrays; each row must still be
     # exactly what the one-orbit path records, and None where it diverges
-    p0 = Point3(0.1, -0.5, 0.2)
-    d = bifurcation_diagram((-2.5, 0.5), 31, p0=p0, transient=300,
-                            samples=40)
-    kinds = set()
-    for row in d.rows:
-        try:
-            want = tuple(q.x for q in orbit(p0, Params(row.b), 40, 300))
-        except Diverged:
-            want = None
-        kinds.add(want is None)
-        assert row.samples == want
-        if want is not None:
-            assert [v.hex() for v in row.samples] == [v.hex() for v in want]
-    assert kinds == {True, False}
+    for b_range, steps, p0, transient, samples in [
+        ((-2.5, 0.5), 31, Point3(0.1, -0.5, 0.2), 300, 40),
+        # state 0 alone, its x beyond R for b > -16; R = beta(b) below -12
+        ((-16.0, -10.0), 7, Point3(4.5, -0.5, 0.1), 0, 1),
+        # z beyond R = 4 for b >= -12; at b = -20, -4 and 5 are fixed points
+        ((-20.0, 0.5), 9, Point3(-4.0, -4.0, 5.0), 300, 40),
+    ]:
+        d = bifurcation_diagram(b_range, steps, p0=p0, transient=transient,
+                                samples=samples)
+        kinds = set()
+        for row in d.rows:
+            try:
+                want = tuple(q.x for q in orbit(p0, Params(row.b), samples,
+                                                transient))
+            except Diverged:
+                want = None
+            kinds.add(want is None)
+            assert row.samples == want
+            if want is not None:
+                assert [v.hex() for v in row.samples] == \
+                    [v.hex() for v in want]
+        assert kinds == {True, False}
 
 
 def test_diagram_holds_the_fixed_point_beyond_radius_four():

@@ -25,7 +25,8 @@ from quadshift import cli
 from quadshift.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "quadshift"]
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run(*args, text=True, **kw):
@@ -556,3 +557,32 @@ def test_script_entry_is_what_python_m_calls():
     assert len(called) == 1
     assert getattr(importlib.import_module(module), name) \
         is getattr(entry, called[0])
+
+
+# ---------------------------------------------------------------------------
+# documented command lines
+
+
+def _recipe_lines(subcommand=None, path=ROOT / "recipes" / "README.md"):
+    """The `quadshift ...` lines of a markdown file as argv lists without
+    the program name, continuation lines joined; with `subcommand`, only
+    the lines that run it."""
+    text = path.read_text().replace("\\\n", " ")
+    return [line.split()[1:] for line in text.splitlines()
+            if line.startswith("quadshift ")
+            and subcommand in (None, line.split()[1])]
+
+
+def test_every_documented_command_line_parses():
+    # recipes/README.md and the README's CLI quickstart, parsed only: a
+    # flag removed or renamed in the CLI fails here, not in a user's shell
+    lines = _recipe_lines() + _recipe_lines(path=ROOT / "README.md")
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"does not parse: quadshift {' '.join(argv)}")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in lines} == set(sub.choices)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadshift import (ESCAPE_RADIUS, Diverged, Overflow, Params, Point3,
-                       apply_T, escape_radius, fixed_point_cycles_1d,
-                       h1d, h1d_n, jacobian_T, orbit, search_interval)
+                       apply_T, bifurcation_diagram, build_catalog,
+                       escape_radius, fixed_point_cycles_1d, h1d, h1d_n,
+                       jacobian_T, lyapunov_1d, lyapunov_spectrum, orbit,
+                       search_interval)
 
 
 def test_single_step_shifts_and_kicks():
@@ -117,3 +119,108 @@ def test_orbit_holds_the_fixed_point_beyond_radius_four():
 def test_overflow_on_nonfinite_image():
     with pytest.raises(Overflow):
         apply_T(Point3(1e200, 0.0, 0.0), Params(0.0))
+
+
+# ---------------------------------------------------------------------------
+# the scalar-stream engine against plain loops
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("run", [
+    lambda p0: orbit(p0, Params(-1.0), 5),
+    lambda p0: bifurcation_diagram((-1.0, -0.5), 3, p0=p0, transient=2,
+                                   samples=2),
+    lambda p0: build_catalog(Params(-1.0), seeds=(p0,)),
+    lambda p0: lyapunov_spectrum(p0, Params(-1.0), n_iter=10, transient=0),
+    lambda p0: lyapunov_1d(p0.y, Params(-1.0), n_iter=10, transient=0),
+], ids=["orbit", "diagram", "catalog", "spectrum", "scalar"])
+def test_a_non_finite_start_is_a_value_error(run, bad):
+    # NaN passes every escape test and inf is out at once: neither is an
+    # orbit that diverges, nor a kick that overflows
+    with pytest.raises(ValueError, match="start must be finite"):
+        run(Point3(0.1, bad, 0.3))
+
+
+def _first_state_out(p0, b, n_states):
+    """(step, state) of the first of n_states states of the apply_T loop
+    outside the escape ball, or None."""
+    p = p0
+    for k in range(n_states):
+        if p.max_abs() > escape_radius(b):
+            return k, p
+        p = apply_T(p, Params(b))
+    return None
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("value, transient, phase", [
+    (5.0, 0, "start"), (5.0, 10, "start"),
+    (2.2, 10, "transient"),     # 2.2 -> 3.84 -> 13.7 at b = -1
+    (2.2, 2, "recorded"), (1.7, 5, "recorded"),
+])
+def test_diverged_step_and_point_are_the_step_loops(axis, value, transient,
+                                                    phase):
+    b, n = -1.0, 30
+    coords = [0.3, -0.2, 0.1]
+    coords[axis] = value
+    p0 = Point3(*coords)
+    step, state = _first_state_out(p0, b, transient + n)
+    assert phase == ("start" if step == 0 else
+                     "transient" if step < transient else "recorded")
+    for run in (lambda: orbit(p0, Params(b), n, transient),
+                lambda: lyapunov_spectrum(p0, Params(b), n_iter=n,
+                                          transient=transient)):
+        with pytest.raises(Diverged) as exc:
+            run()
+        assert exc.value.step == step
+        assert exc.value.point == state
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("transient", [0, 2])
+def test_the_last_states_y_and_z_are_tested(axis, transient):
+    # at b = -1, 2.2 -> 3.84 -> 13.7: s_j is the first sample out,
+    # j = 6 + axis, the z of state j - 2 and the y of state j - 1
+    b, j = -1.0, 6 + axis
+    coords = [0.3, -0.2, 0.1]
+    coords[axis] = 2.2
+    p0 = Point3(*coords)
+    for n in (j - 2 - transient, j - 1 - transient, j - transient):
+        want = _first_state_out(p0, b, transient + n)
+        assert (want is None) == (n == j - 2 - transient)
+        for run in (lambda: orbit(p0, Params(b), n, transient),
+                    lambda: lyapunov_spectrum(p0, Params(b), n_iter=n,
+                                              transient=transient)):
+            if want is None:
+                run()
+                continue
+            with pytest.raises(Diverged) as exc:
+                run()
+            assert (exc.value.step, exc.value.point) == want
+
+
+@pytest.mark.parametrize("b", [-2.0, -1.864, -1.3])
+@pytest.mark.parametrize("n_iter, transient", [(3001, 499), (3000, 0),
+                                               (1, 2)])
+def test_spectrum_is_the_sorted_stream_sums(b, n_iter, transient):
+    # step k stretches stream k mod 3 by |2 s_k|, s_{3m+r} = H^m(start_r)
+    p0 = Point3(0.3, -0.5, 0.5)
+    sums = []
+    for r, u in enumerate(p0):
+        s, j = 0.0, r
+        while j < transient + n_iter:
+            if j >= transient:
+                s += math.log(abs(2.0 * u))
+            u, j = u * u + b, j + 3
+        sums.append(s)
+    want = sorted((s / n_iter for s in sums), reverse=True)
+    got = lyapunov_spectrum(p0, Params(b), n_iter=n_iter, transient=transient)
+    assert [e.hex() for e in got.exponents] == [e.hex() for e in want]
+    # the scalar exponent is the same sum on the one stream of x
+    s, u = 0.0, p0.x
+    for m in range(transient + n_iter):
+        if m >= transient:
+            s += math.log(abs(2.0 * u))
+        u = u * u + b
+    assert lyapunov_1d(p0.x, Params(b), n_iter=n_iter,
+                       transient=transient).value.hex() == (s / n_iter).hex()
