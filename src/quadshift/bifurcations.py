@@ -3,13 +3,14 @@
 A fold or flip of a period-n cycle of H(u) = u^2 + b is a point (x, b)
 where x lies on a minimal period-n cycle whose multiplier (H^n)'(x) is +1
 or -1: two regular equations in the two unknowns.  Both locators solve
-them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) with analytic
-derivatives, started from the cycles `find_cycles_1d` finds at the
-bracket ends, each end over its own `search_interval(b)`.  A start
-counts only if it lands inside the bracket on a minimal period-n cycle
-with the target multiplier.  A cycle born with count step 1 is a doubling
-birth, where the tangency system is singular; it is located as the flip
-of its period-n/2 parent, whose multiplier crosses -1 at the same b.
+them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) in (x, b),
+with the derivatives `core._jet` carries, started from the cycles
+`find_cycles_1d` finds at the bracket ends, each end over its own
+`search_interval(b)`.  A start counts only if it lands inside the bracket
+on a minimal period-n cycle with the target multiplier.  A cycle born
+with count step 1 is a doubling birth, where the tangency system is
+singular; it is located as the flip of its period-n/2 parent, whose
+multiplier crosses -1 at the same b.
 
 An orbit diagram iterates one start at every parameter of a sweep, all
 parameters at once on the batch engine `core._evolve`, and reads each
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, Point3, _check_run, _evolve, escape_radius, h1d_n
+from .core import (Params, Point3, _check_run, _evolve, _jet, escape_radius,
+                   h1d_n)
 from .cycles import _orbit_1d, _sorted_multiplier, find_cycles_1d
 from .errors import NoEventInBracket
 
@@ -49,12 +51,12 @@ class DiagramDataset:
 # folds and flips
 
 
-def _is_minimal(x, b, n, tol=1e-8):
+def _is_minimal(x, b, n):
     p = Params(b)
     if abs(h1d_n(x, p, n) - x) > 1e-9:
         return False
     for d in range(1, n):
-        if n % d == 0 and abs(h1d_n(x, p, d) - x) < tol:
+        if n % d == 0 and abs(h1d_n(x, p, d) - x) < 1e-8:
             return False
     return True
 
@@ -63,29 +65,19 @@ def _multiplier_at(x, b, n):
     return _sorted_multiplier(_orbit_1d(x, b, n))
 
 
-def _event_polish(x, b, n, target, iters=60):
-    """2D Newton on (H^n(x) - x, (H^n)'(x) - target) with analytic derivatives."""
-    for _ in range(iters):
-        v = x
-        dvx, dvb = 1.0, 0.0      # d v / dx, d v / db
-        dxx, dxb = 0.0, 0.0      # d dvx / dx, d dvx / db
-        for _ in range(n):
-            dxx = 2.0 * (dvx * dvx + v * dxx)
-            dxb = 2.0 * (dvb * dvx + v * dxb)
-            dvx = 2.0 * v * dvx
-            dvb = 2.0 * v * dvb + 1.0
-            v = v * v + b
+def _event_polish(x, b, n, target):
+    """2D Newton in (x, b) on (H^n(x) - x, (H^n)'(x) - target); the Jacobian
+    rows are (dvx - 1, dvb) and (dxx, dxb), read off the jet of H^n."""
+    for _ in range(60):
+        v, dvx, dvb, dxx, dxb = _jet(x, b, n)
         f1 = v - x
         f2 = dvx - target
         j11 = dvx - 1.0
-        j12 = dvb
-        j21 = dxx
-        j22 = dxb
-        det = j11 * j22 - j12 * j21
+        det = j11 * dxb - dvb * dxx
         if det == 0.0:
             break
-        dx = (f1 * j22 - j12 * f2) / det
-        db = (j11 * f2 - f1 * j21) / det
+        dx = (f1 * dxb - dvb * f2) / det
+        db = (j11 * f2 - f1 * dxx) / det
         x -= dx
         b -= db
         if abs(dx) + abs(db) < 1e-15:

@@ -4,8 +4,10 @@ One step sends (x, y, z) to (y, z, x^2 + b).  Three steps act on each
 coordinate independently through the same scalar return map H(u) = u^2 + b,
 so a 3D orbit is three interleaved scalar streams, s_{3m+r} = H^m(start_r),
 and state k is (s_k, s_{k+1}, s_{k+2}).  `_iterates` is the one loop that
-applies H to a stream: `orbit`, the Lyapunov sums and the batch `_evolve`
-(basin slices, orbit diagrams) read it, and `_diverged` owns the escape rule.
+applies H to a stream: `orbit`, `h1d_n`, the Lyapunov sums and the batch
+`_evolve` (basin slices, orbit diagrams) read it, and `_diverged` owns the
+escape rule.  `_jet` is the one loop that carries derivatives of H^n, for
+every Newton solve in `cycles` and `bifurcations`.
 
 Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
 coordinate grows without bound, so orbits, spectra, diagrams and basins
@@ -87,10 +89,10 @@ def h1d(x: float, params: Params) -> float:
 
 
 def h1d_n(x: float, params: Params, n: int) -> float:
-    b = params.b
-    for _ in range(n):
-        x = x * x + b
-    return x
+    """H^n(x), for a float or an ndarray x."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return next(islice(_iterates(x, params.b), n, None))
 
 
 def apply_T(p: Point3, params: Params) -> Point3:
@@ -120,6 +122,19 @@ def _iterates(u, b):
     while True:
         yield u
         u = u * u + b
+
+
+def _jet(x, b, n):
+    """H^n(x) and its derivatives d/dx, d/db, d2/dx2 and d2/dxdb, for a
+    float or an ndarray x: the one loop that carries derivatives of H^n."""
+    dx, db, dxx, dxb = 1.0, 0.0, 0.0, 0.0
+    it = _iterates(x, b)
+    for v in islice(it, n):
+        dxx = 2.0 * (dx * dx + v * dxx)
+        dxb = 2.0 * (db * dx + v * dxb)
+        dx = 2.0 * v * dx
+        db = 2.0 * v * db + 1.0
+    return next(it), dx, db, dxx, dxb
 
 
 def _check_run(start, n, transient, name):

@@ -22,7 +22,7 @@ from math import lcm, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, _iterates, h1d_n, search_interval
+from .core import Params, Point3, _iterates, _jet, h1d_n, search_interval
 from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
@@ -92,76 +92,49 @@ def _proper_divisors(n):
     return [d for d in range(1, n) if n % d == 0]
 
 
-def _newton_1d(x, params, n, iters=60, res_tol=5e-14):
-    # Newton on H^n(x) - x with the analytic derivative (product of 2*v_i).
-    b = params.b
-    for _ in range(iters):
-        v = x
-        d = 1.0
-        for _ in range(n):
-            d = 2.0 * v * d
-            v = v * v + b
-        fv = v - x
-        dfv = d - 1.0
-        if dfv == 0.0:
-            break
-        step = fv / dfv
-        x -= step
-        if abs(fv) < res_tol and abs(step) < 1e-13:
-            break
-    return x
-
-
 def _residual_1d(x, params, n):
     return h1d_n(x, params, n) - x
 
 
-def _refine_tangent(x, params, n, rounds=40):
+def _refine_tangent(x, params, n):
     # Newton on (H^n)'(x) - 1 = 0.  Near a double root the residual itself
     # is noise-floor quadratic, so plain Newton leaves ~1e-8 scatter and the
     # same tangent orbit survives dedup several times; the derivative
     # condition crosses zero transversally and pins the point to full
     # precision.
-    b = params.b
-    for _ in range(rounds):
-        v, dvx, dxx = x, 1.0, 0.0
-        for _ in range(n):
-            dxx = 2.0 * (dvx * dvx + v * dxx)
-            dvx = 2.0 * v * dvx
-            v = v * v + b
-        g = dvx - 1.0
+    for _ in range(40):
+        _, dx, _, dxx, _ = _jet(x, params.b, n)
         if dxx == 0.0:
             break
-        step = g / dxx
+        step = (dx - 1.0) / dxx
         x -= step
         if abs(step) < 1e-15:
             break
     return x
 
 
-def _newton_1d_array(x, params, n):
-    # _newton_1d with its default iters and res_tol on every entry of x at
-    # once; an entry stops exactly where the scalar solver would, so the
-    # two agree bit for bit
-    b = params.b
+def _newton_1d_array(x, params, n, iters=60):
+    # Newton on H^n(x) - x at every entry of x at once, for at most iters
+    # rounds; an entry stops where (H^n)'(x) = 1, or once |H^n(x) - x| <
+    # 5e-14 and its step is below 1e-13
     x = np.array(x, dtype=float)
     live = np.arange(x.size)
-    for _ in range(60):
+    for _ in range(iters):
         if live.size == 0:
             break
         xl = x[live]
-        v = xl
-        d = np.ones_like(xl)
-        for _ in range(n):
-            d = 2.0 * v * d
-            v = v * v + b
+        v, d = _jet(xl, params.b, n)[:2]
         fv = v - xl
         dfv = d - 1.0
         moving = dfv != 0.0
         live, xl, fv, dfv = live[moving], xl[moving], fv[moving], dfv[moving]
         step = fv / dfv
-        x[live] = xl - step
-        live = live[~((np.abs(fv) < 5e-14) & (np.abs(step) < 1e-13))]
+        xn = xl - step
+        x[live] = xn
+        done = (np.abs(fv) < 5e-14) & (np.abs(step) < 1e-13)
+        # a step depends on x alone, so an entry it leaves bit-equal is final
+        done |= xn.view(np.int64) == xl.view(np.int64)
+        live = live[~done]
     return x
 
 
@@ -210,40 +183,40 @@ def find_cycles_1d(params: Params, n: int) -> list:
     The search covers `search_interval(b)`, which holds every bounded
     scalar orbit.  Sign changes of H^n(x) - x on a uniform grid of
     GRID_POINTS points are bisected, all brackets at once, then polished by
-    one array Newton that stops each entry where the scalar `_newton_1d`
-    would; local minima of |H^n(x) - x| below 1e-3 seed extra scalar Newton
-    runs so tangent roots at folds are not silently missed.  Roots whose
-    minimal period properly divides n are discarded.  Orbits are
-    deduplicated on sorted points, comparing only orbits whose smallest
-    points fall in a window around each other (the first root found wins).
+    one array Newton on the jet of H^n; local minima of |H^n(x) - x| below
+    1e-3 seed one Newton run each, refined on (H^n)'(x) = 1, so tangent
+    roots at folds are not silently missed.  Roots whose minimal period
+    properly divides n are discarded.  Orbits are deduplicated on sorted
+    points, comparing only orbits whose smallest points fall in a window
+    around each other (the first root found wins).
     """
     if n < 1:
         raise ValueError("period must be >= 1")
     b = params.b
     lo, hi = search_interval(b)
     xs = np.linspace(lo, hi, GRID_POINTS)
-    with np.errstate(over="ignore"):
-        # grid points beyond beta escape to +inf, which has the right sign
+    # points beyond beta escape to +-inf, where H^n(x) - x keeps its sign; a
+    # Newton run that escapes ends in NaN, which the range test below drops
+    with np.errstate(over="ignore", invalid="ignore"):
         f = h1d_n(xs, params, n) - xs
-
-    sgn = np.sign(f)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    mids = _bisect_brackets(xs[flips], xs[flips + 1], f[flips], params, n)
-    # polished bisection roots, then exact-zero grid hits
-    roots = [_newton_1d_array(mids, params, n), xs[sgn == 0]]
-    # tangency candidates: interior local minima of |f| with no sign change
-    af = np.abs(f)
-    inner = af[1:-1]
-    tangent = (inner < 1e-3) & (inner <= af[:-2]) & (inner <= af[2:]) \
-        & (sgn[:-2] == sgn[1:-1]) & (sgn[1:-1] == sgn[2:])
-    for i in np.nonzero(tangent)[0] + 1:
-        x = _newton_1d(float(xs[i]), params, n, iters=100)
-        if abs(_residual_1d(x, params, n)) < 1e-10:
-            x2 = _refine_tangent(x, params, n)
-            if abs(x2 - x) <= 1e-4 and \
-                    abs(_residual_1d(x2, params, n)) < 1e-10:
-                x = x2
-            roots.append([x])
+        sgn = np.sign(f)
+        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        mids = _bisect_brackets(xs[flips], xs[flips + 1], f[flips], params, n)
+        # polished bisection roots, then exact-zero grid hits
+        roots = [_newton_1d_array(mids, params, n), xs[sgn == 0]]
+        # tangency candidates: interior local minima of |f| with no sign change
+        af = np.abs(f)
+        inner = af[1:-1]
+        tangent = (inner < 1e-3) & (inner <= af[:-2]) & (inner <= af[2:]) \
+            & (sgn[:-2] == sgn[1:-1]) & (sgn[1:-1] == sgn[2:])
+        for i in np.nonzero(tangent)[0] + 1:
+            x = float(_newton_1d_array(xs[i:i + 1], params, n, iters=100)[0])
+            if abs(_residual_1d(x, params, n)) < 1e-10:
+                x2 = _refine_tangent(x, params, n)
+                if abs(x2 - x) <= 1e-4 and \
+                        abs(_residual_1d(x2, params, n)) < 1e-10:
+                    x = x2
+                roots.append([x])
     roots = np.concatenate(roots)
 
     # keep converged, in-range, minimal-period roots; row k of orbs is the

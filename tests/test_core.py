@@ -10,6 +10,7 @@ from quadshift import (ESCAPE_RADIUS, Diverged, Overflow, Params, Point3,
                        escape_radius, fixed_point_cycles_1d, h1d, h1d_n,
                        jacobian_T, lyapunov_1d, lyapunov_spectrum, orbit,
                        search_interval)
+from quadshift.core import _jet
 
 
 def test_single_step_shifts_and_kicks():
@@ -32,6 +33,41 @@ def test_scalar_kick_agrees_with_full_map():
     params = Params(-0.9)
     assert h1d(0.25, params) == 0.25 * 0.25 - 0.9
     assert h1d_n(0.25, params, 3) == h1d(h1d(h1d(0.25, params), params), params)
+
+
+def test_h1d_n_rejects_a_negative_count():
+    assert h1d_n(0.3, Params(-1.0), 0) == 0.3
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        h1d_n(0.3, Params(-1.0), -1)
+
+
+@pytest.mark.parametrize("b", [-2.0, -0.75, 0.25])
+@pytest.mark.parametrize("x", [-1.5, -0.25, 0.0, 0.75, 2.0])
+def test_jet_is_the_closed_form_for_one_and_two_steps(x, b):
+    # at dyadic x and b every product and sum here is exact in floats
+    assert _jet(x, b, 1) == (x * x + b, 2.0 * x, 1.0, 2.0, 0.0)
+    u = x * x + b
+    assert _jet(x, b, 2) == (u * u + b, 4.0 * x * u, 2.0 * u + 1.0,
+                             12.0 * x * x + 4.0 * b, 4.0 * x)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_jet_at_minus_two_is_the_chebyshev_form(n):
+    # with x = 2cos(t), H^n(x) = 2cos(2^n t) at b = -2, and its x-derivative
+    # is 2^n sin(2^n t)/sin(t)
+    t = np.random.default_rng(n).uniform(0.05, math.pi - 0.05, 64)
+    v, dx = _jet(2.0 * np.cos(t), -2.0, n)[:2]
+    assert v == pytest.approx(2.0 * np.cos(2.0 ** n * t), rel=1e-9, abs=1e-9)
+    assert dx == pytest.approx(2.0 ** n * np.sin(2.0 ** n * t) / np.sin(t),
+                               rel=1e-9, abs=1e-9 * 2.0 ** n)
+
+
+def test_jet_of_an_array_is_the_jet_of_each_float_bitwise():
+    xs = np.linspace(-2.0, 2.0, 41)
+    jets = _jet(xs, -1.75, 5)
+    for i, x in enumerate(xs.tolist()):
+        assert [float(d[i]).hex() for d in jets] == \
+            [d.hex() for d in _jet(x, -1.75, 5)]
 
 
 def test_three_steps_act_coordinatewise_exactly():

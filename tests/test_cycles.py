@@ -12,7 +12,7 @@ from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
                        lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
                        lift_mixed_triple, stability_block_length)
 from quadshift.cycles import (ORBIT_DEDUP_TOL, STABILITY_TOL,
-                              _bisect_brackets, _first_distinct, _newton_1d,
+                              _bisect_brackets, _first_distinct,
                               _newton_1d_array, _residual_1d)
 
 
@@ -252,6 +252,16 @@ def test_grid_escape_raises_no_warning():
     assert len(found) == _necklace(12)
 
 
+@pytest.mark.parametrize("b, n", [(-2.1, 18), (-2.3, 16), (-2.3, 18), (-1.9, 18)])
+def test_bisection_and_polish_raise_no_overflow_warning(b, n):
+    # bracket ends and Newton runs past beta overflow to +-inf on the way
+    # to H^n; the sign of H^n(x) - x is still right there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_cycles_1d(Params(b), n)
+    assert found
+
+
 @pytest.mark.parametrize("b", [-3.8, -4.0, -10.0])
 def test_cycles_outside_two_and_a_half_are_found(b):
     # below b = -3.75 the fixed point beta(b) lies past 2.5, and at b = -10
@@ -277,6 +287,28 @@ def _scalar_bisection(a, c, fa, params, n):
     return 0.5 * (a + c)
 
 
+def _scalar_newton(x, params, n, iters=60):
+    # one root at a time on Python floats, with the derivative of H^n
+    # carried as the product of 2*v; the array Newton must stop each entry
+    # where this loop does
+    b = params.b
+    for _ in range(iters):
+        v = x
+        d = 1.0
+        for _ in range(n):
+            d = 2.0 * v * d
+            v = v * v + b
+        fv = v - x
+        dfv = d - 1.0
+        if dfv == 0.0:
+            break
+        step = fv / dfv
+        x -= step
+        if abs(fv) < 5e-14 and abs(step) < 1e-13:
+            break
+    return x
+
+
 @pytest.mark.parametrize("b, n", [(-2.0, 7), (-2.0, 10), (-1.75, 3), (-1.75, 9)])
 def test_array_kernels_match_the_scalar_loops_bitwise(b, n):
     params = Params(b)
@@ -291,10 +323,11 @@ def test_array_kernels_match_the_scalar_loops_bitwise(b, n):
     assert [float(m).hex() for m in mids] == [m.hex() for m in ref_mids]
     # wild starts too: every 97th grid point, escaping ones included
     starts = np.concatenate([mids, xs[::97]])
-    with np.errstate(all="ignore"):
-        polished = _newton_1d_array(starts, params, n)
-    ref = [_newton_1d(float(x), params, n) for x in starts]
-    assert [float(x).hex() for x in polished] == [x.hex() for x in ref]
+    for iters in (60, 100):
+        with np.errstate(all="ignore"):
+            polished = _newton_1d_array(starts, params, n, iters=iters)
+        ref = [_scalar_newton(float(x), params, n, iters) for x in starts]
+        assert [float(x).hex() for x in polished] == [x.hex() for x in ref]
 
 
 def _reference_first_distinct(keys):
