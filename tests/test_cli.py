@@ -449,6 +449,16 @@ PINNED = [
                  "--out", "census6.json"),
      {"census6.json": "0225a0765614f874d79fbe8ef880187b"
                       "e240fd387204eabc72a4692f8179aa6d"}),
+    # 3n lifts of the 4-cycle, mixed pairs over (1, 4) and (2, 4), mixed
+    # triples over (1, 1, 4) and (1, 2, 4)
+    ("census12", ("census", "--b", "-1.3", "--period", "12",
+                  "--out", "census12.json"),
+     {"census12.json": "3caf0e811d7320abfe9028f92f6652a8"
+                       "1d60254091fe5fc520141b0e37240f5c"}),
+    ("fixed_points", ("fixed-points", "--b", "-1.3",
+                      "--out", "fixed_points.json"),
+     {"fixed_points.json": "566fb48a2a6ee91399eea749944013e9"
+                           "0a53208e470744bca9cda6f6ded48417"}),
 ]
 
 
