@@ -208,11 +208,14 @@ def _evolve(X, Y, Z, b, n_steps, tail_n, R):
     b and R are floats or one value per cell (equal R for equal b).
     Returns (escaped mask, _Streams of the last tail_n states), bit-equal
     to stepping the 3D map, but the batch is never stepped in 3D: the state
-    after step k is (s_{k+1}, s_{k+2}, s_{k+3}), and every distinct (start
-    value, b) pair, by bit pattern (so -0.0 stays apart from 0.0), runs
-    (n_steps+2)//3 steps of H.  A cell escaped iff some |s_j| > R for
-    1 <= j <= n_steps+2 (s_0 is never tested); tail sample i, column c is
-    s_{first+i+c}.  Escaped streams run on toward inf, cheap and NaN-free.
+    after step k is (s_{k+1}, s_{k+2}, s_{k+3}), and stream
+    start_index*nb + b_index runs (n_steps+2)//3 steps of H for every
+    distinct start value and every distinct b, by bit pattern (so -0.0
+    stays apart from 0.0); a basin slice (one b) and an orbit diagram (one
+    start at every b) use every pair of that grid.  A cell escaped iff
+    some |s_j| > R for 1 <= j <= n_steps+2 (s_0 is never tested); tail
+    sample i, column c is s_{first+i+c}.  Escaped streams run on toward
+    inf, cheap and NaN-free.
     """
     N = X.size
     tail_n = min(tail_n, n_steps)
@@ -221,16 +224,14 @@ def _evolve(X, Y, Z, b, n_steps, tail_n, R):
                               .view(np.int64), return_inverse=True)
     b_keys, b_inv = np.unique(np.asarray(b, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    nb = b_keys.size
+    ns, nb = s_keys.size, b_keys.size
     R_b = np.empty(nb)
     R_b[b_inv] = R
-    code = s_inv.reshape(3, N)     # each (start, b) pair as one int, in place
-    code *= nb
-    code += b_inv.reshape(-1)
-    keys, inv = np.unique(code, return_inverse=True)
-    inv = inv.reshape(3, N)
-    w0 = s_keys[keys // nb].view(np.float64)
-    bw, Rw = b_keys.view(np.float64)[keys % nb], R_b[keys % nb]
+    inv = s_inv.reshape(3, N)      # each cell's (start, b) stream, in place
+    inv *= nb
+    inv += b_inv.reshape(-1)
+    w0 = np.repeat(s_keys.view(np.float64), nb)
+    bw, Rw = np.tile(b_keys.view(np.float64), ns), np.tile(R_b, ns)
     n_iter = (n_steps + 2) // 3         # s_{n_steps+2} is H^n_iter of some start
     m_lo = first // 3                   # the first tail sample is H^m_lo of some start
     kept = np.empty((n_iter - m_lo + 1, w0.size))

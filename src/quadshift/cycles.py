@@ -6,11 +6,12 @@ of 3 ("homogeneous" lifts), a family of period-3n orbits built from one
 period-n cycle, and mixed orbits woven from two or three coexisting scalar
 cycles.  Since T^3 acts on each coordinate through the scalar map, a 3D
 state whose coordinates are points of scalar cycles is a triple of (cycle,
-phase) pairs, and T sends (a:i, b:j, c:k) to (b:j, c:k, a:i+1).  The lifts
-walk these integer states and read the points off the scalar cycles, which
-are checked once each, in scalar form, before use.  Period 3s takes the
-3n lifts of the period-s cycles and, for every multiset of 2 or 3 periods
-whose lcm is s, the mixed lifts of all distinct cycles with those periods.
+phase) pairs, and T sends (a:i, b:j, c:k) to (b:j, c:k, a:i+1).  These
+integer orbits depend only on the sources' sizes and are walked once per
+tuple of sizes; every lift, the fixed points included, checks its sources
+and reads its points off that walk.  Period 3s takes the 3n lifts of the
+period-s cycles and, for every multiset of 2 or 3 periods whose lcm is s,
+the mixed lifts of all distinct cycles with those periods.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm, sqrt
 
 import numpy as np
@@ -272,12 +274,6 @@ def classify_stability(points, b):
     return eig, tag
 
 
-def _canonical_rotation_3d(pts):
-    key = lambda p: (p.x, p.y, p.z)
-    i0 = min(range(len(pts)), key=lambda i: key(pts[i]))
-    return tuple(pts[i0:]) + tuple(pts[:i0])
-
-
 def cycle3d_key(pts):
     # exact orbit-set key; kept because bench/tracing.py times it per orbit
     return tuple(sorted(tuple(p) for p in pts))
@@ -302,46 +298,55 @@ def _check_source(X: Cycle1D):
                 f"source {label} has period {d}, not the stated {n}")
 
 
-def _cycle3d(pts, b: float, kind: str, labels: tuple) -> Cycle3D:
-    pts = _canonical_rotation_3d(pts)
-    eig, tag = classify_stability(pts, b)
-    return Cycle3D(b=b, period=len(pts), points=pts, eigenvalues=eig,
-                   stability=tag, provenance=Provenance(kind, labels))
-
-
-def _lift_orbits(sources, period: int, kind: str) -> list:
-    """Every 3D cycle of minimal period `period` whose coordinates run
-    through all of the given scalar cycles and no others; the sources
-    share one parameter b.
+@lru_cache(maxsize=64)
+def _phase_orbits(sizes: tuple, period: int) -> tuple:
+    """Every orbit of minimal period `period` among the phase states that
+    use all the sources, for sources of the given sizes; it depends on the
+    sizes alone, so it is walked once per tuple of sizes and period.
 
     A state is an index triple into the sources' points laid end to end,
     and T sends (i, j, k) to (j, k, nxt[i]), where nxt[i] is the next point
-    of i's cycle.  Every state that uses all the sources is walked, one
-    orbit at a time; T permutes the states, so each walk returns to its
-    start and no orbit is met twice.
+    of i's cycle; T permutes the states, so each walk closes and meets no
+    orbit twice.  An orbit is kept as the first indices a_0 .. a_{P-1} of
+    its states in walk order: state t is (a_t, a_{t+1}, a_{t+2}), mod P.
     """
-    for X in sources:
-        _check_source(X)
-    vals, owner, nxt = [], [], []
-    for s, X in enumerate(sources):
-        base, n = len(vals), X.period
-        vals.extend(X.points)
+    owner, nxt = [], []
+    for s, n in enumerate(sizes):
+        nxt.extend(len(owner) + (k + 1) % n for k in range(n))
         owner.extend([s] * n)
-        nxt.extend(base + (k + 1) % n for k in range(n))
-    labels = tuple(cycle1d_label(X) for X in sources)
     out, seen = [], set()
-    for state in itertools.product(range(len(vals)), repeat=3):
-        if state in seen or len({owner[i] for i in state}) < len(sources):
+    for state in itertools.product(range(len(owner)), repeat=3):
+        if state in seen or len({owner[i] for i in state}) < len(sizes):
             continue
         orb = []
         while state not in seen:
             seen.add(state)
-            orb.append(state)
             i, j, k = state
+            orb.append(i)
             state = (j, k, nxt[i])
         if len(orb) == period:
-            pts = [Point3(vals[i], vals[j], vals[k]) for i, j, k in orb]
-            out.append(_cycle3d(pts, sources[0].b, kind, labels))
+            out.append(tuple(orb))
+    return tuple(out)
+
+
+def _lift_orbits(sources, period: int, kind: str) -> list:
+    """Every 3D cycle of minimal period `period` whose coordinates run
+    through all of the given scalar cycles (at one b) and no others, read
+    off the phase-orbit table of their sizes, smallest point first."""
+    for X in sources:
+        _check_source(X)
+    vals = [x for X in sources for x in X.points]
+    b = sources[0].b
+    prov = Provenance(kind, tuple(cycle1d_label(X) for X in sources))
+    out = []
+    for orb in _phase_orbits(tuple(X.period for X in sources), period):
+        xs = [vals[i] for i in orb]
+        pts = list(zip(xs, xs[1:] + xs[:1], xs[2:] + xs[:2]))
+        i0 = pts.index(min(pts))
+        pts = tuple(itertools.starmap(Point3, pts[i0:] + pts[:i0]))
+        eig, tag = classify_stability(pts, b)
+        out.append(Cycle3D(b=b, period=period, points=pts, eigenvalues=eig,
+                           stability=tag, provenance=prov))
     return out
 
 
@@ -361,10 +366,8 @@ def fixed_point_cycles_1d(params: Params):
 
 
 def fixed_points_T(params: Params):
-    """Both fixed points of the 3D map, larger first, with stability."""
-    return tuple(_cycle3d((Point3(x, x, x),), params.b, "homogeneous",
-                          (cycle1d_label(c),))
-                 for c in fixed_point_cycles_1d(params) for x in c.points)
+    """Both fixed points of T, larger first: lifts of the scalar ones."""
+    return tuple(map(lift_homogeneous, fixed_point_cycles_1d(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +376,14 @@ def fixed_points_T(params: Params):
 
 def lift_homogeneous(X: Cycle1D) -> Cycle3D:
     """The single 3D cycle of period n riding one scalar n-cycle (3 must not
-    divide n): with t = 3^-1 mod n, state k is (X[kt], X[(k+1)t], X[(k+2)t]),
+    divide n), the one period-n orbit of its phase table.  With t = 3^-1
+    mod n, its state k is (X[kt], X[(k+1)t], X[(k+2)t]), up to rotation,
     as X[kt + 1] = X[(k+3)t].  Raises LiftValidationFailed unless X is a
     minimal-period-n scalar cycle at its parameter X.b."""
     n = X.period
     if n % 3 == 0:
         raise PeriodDivisibleBy3(f"period {n} is divisible by 3; use the 3n lift")
-    _check_source(X)
-    t = pow(3, -1, n)
-    P = X.points
-    pts = [Point3(P[k * t % n], P[(k + 1) * t % n], P[(k + 2) * t % n])
-           for k in range(n)]
-    return _cycle3d(pts, X.b, "homogeneous", (cycle1d_label(X),))
+    return _lift_orbits((X,), n, "homogeneous")[0]
 
 
 def lift_homogeneous_3n(X: Cycle1D) -> list:

@@ -54,3 +54,20 @@ def test_import_times_reports_every_module():
                              "cli.import_scipy_s"]
     assert all(isinstance(t, float) and math.isfinite(t) and t >= 0
                for t in times.values())
+
+
+def test_census_reaches_the_lifts_through_the_module_attributes(monkeypatch):
+    # the traced run times the `cycles.lift` layer by swapping these module
+    # attributes; a census that bypassed them would read 0 there
+    from quadshift import Params, cycles
+    calls = dict.fromkeys(("lift_homogeneous_3n", "lift_mixed_pair",
+                           "lift_mixed_triple"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(cycles, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cycles, name, counting)
+    # b = -1: two fixed points and one 2-cycle, so period 6 takes the 3n
+    # lift of the 2-cycle, pairs over (1, 2) and the triple over (1, 1, 2)
+    cycles.census(Params(-1.0), 6)
+    assert all(calls.values()), calls
