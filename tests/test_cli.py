@@ -459,6 +459,16 @@ PINNED = [
                       "--out", "fixed_points.json"),
      {"fixed_points.json": "566fb48a2a6ee91399eea749944013e9"
                            "0a53208e470744bca9cda6f6ded48417"}),
+    # the recipe's chaotic orbit and its preimages line, written to a file
+    ("orbit_chaos", ("orbit", "--b", "-1.864", "--x0", "0,-0.5,0.5",
+                     "--n", "4000", "--transient", "1000",
+                     "--out", "orbit_chaos.csv"),
+     {"orbit_chaos.csv": "4ef6f99c6d42abbea54a4f20f3f1cdb4"
+                         "8b1aff665cc207d3908e59da3cc68d8a"}),
+    ("preimages", ("preimages", "--b", "-1.3", "--point", "0.4,-0.2,0.7",
+                   "--out", "preimages.json"),
+     {"preimages.json": "2d032a645f4bc9544531d2b2d61e7d00"
+                        "7ebd2c206d9d3c6f80fe5c7a416d0aca"}),
 ]
 
 
