@@ -168,6 +168,10 @@ def _match_tails(streams, bounded, attractors, match_tol):
 
 
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
+    # NaN passes every escape test, and inf would be labelled divergent
+    if not all(np.isfinite(C).all() for C in (X0, Y0, Z0)):
+        raise ValueError("every start must be finite; a cell center or "
+                         "start is NaN or infinite")
     R = escape_radius(b)
     n_steps = options.transient + options.max_iter
     escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, TAIL_SAMPLES, R)
@@ -192,9 +196,9 @@ def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
     """(kind, period, signature) of the seed's limit set, or None when a
     state it records, or one before them, leaves the escape ball."""
     try:
-        probe = np.array([tuple(p) for p in orbit(
+        probe = np.array(orbit(
             seed, params, max(CYCLE_SEARCH + 1, options.signature_samples),
-            options.transient)])
+            options.transient))
     except Diverged:
         return None
     for k in range(1, CYCLE_SEARCH + 1):
@@ -247,9 +251,7 @@ def classify_point(p0: Point3, params: Params, catalog,
                    options: BasinOptions = BasinOptions()) -> int:
     """Label of a single start; runs the identical batch engine on a batch
     of one, so it always agrees with a grid cell at the same coordinates."""
-    X = np.array([p0.x])
-    Y = np.array([p0.y])
-    Z = np.array([p0.z])
+    X, Y, Z = np.array(p0, dtype=float)[:, None]
     return int(_classify_batch(X, Y, Z, params.b, tuple(catalog), options)[0])
 
 

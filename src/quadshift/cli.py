@@ -161,7 +161,7 @@ def _cmd_lift(args):
     else:
         found = [cycles.lift_homogeneous(X) for X in by_p[periods[0]]]
     # census's order: every run lists cycles of one period
-    found.sort(key=lambda c: tuple(c.points[0]))
+    found.sort(key=lambda c: c.points[0])
     _deliver(serialize.dumps_17g(_cycles3d_payload(args.b, cfg, found)),
              args.out)
     return 0
@@ -247,11 +247,11 @@ def _cmd_preimages(args):
     payload = {
         "b": args.b,
         "config": cfg,
-        "point": [p.x, p.y, p.z],
+        "point": list(p),
         "zone": critical.zone_of(p, params),
         "region": critical.region_of(p),
         "count": len(pres),
-        "preimages": [{"point": [q.point.x, q.point.y, q.point.z],
+        "preimages": [{"point": list(q.point),
                        "region": q.region} for q in pres],
     }
     _deliver(serialize.dumps_17g(payload), args.out)
@@ -296,7 +296,7 @@ def _cmd_basin(args):
     catalog = basins.build_catalog(params, seeds, opts)
     grid = basins.basin_slice(params, spec, catalog, opts)
     meta = serialize.basin_sidecar(grid)
-    meta["seeds"] = [[s.x, s.y, s.z] for s in seeds]
+    meta["seeds"] = [list(s) for s in seeds]
     meta["config"] = cfg
     meta_text = serialize.dumps_17g(meta)   # raises before any file is written
     serialize.save_text(args.out, serialize.basin_csv(grid))

@@ -1,6 +1,7 @@
 """The map itself: a cyclic coordinate shift with a quadratic kick.
 
-One step sends (x, y, z) to (y, z, x^2 + b).  Three steps act on each
+One step sends (x, y, z) to (y, z, x^2 + b); a state is a `Point3`, a
+plain (x, y, z) tuple with named fields.  Three steps act on each
 coordinate independently through the same scalar return map H(u) = u^2 + b,
 so a 3D orbit is three interleaved scalar streams, s_{3m+r} = H^m(start_r),
 and state k is (s_k, s_{k+1}, s_{k+2}).  `_iterates` is the one loop that
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +43,10 @@ class Params:
             raise ValueError("parameter b must be finite")
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(NamedTuple):
     x: float
     y: float
     z: float
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
-    def max_abs(self) -> float:
-        return max(abs(self.x), abs(self.y), abs(self.z))
 
 
 def _cover_beta(r: float, b: float) -> float:

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, sqrt
+from math import inf, lcm, sqrt
 
 import numpy as np
 
@@ -276,7 +276,7 @@ def classify_stability(points, b):
 
 def cycle3d_key(pts):
     # exact orbit-set key; kept because bench/tracing.py times it per orbit
-    return tuple(sorted(tuple(p) for p in pts))
+    return tuple(sorted(pts))
 
 
 def _check_source(X: Cycle1D):
@@ -289,7 +289,8 @@ def _check_source(X: Cycle1D):
             f"source {label} lists {len(pts)} points for period {n}")
     for k, x in enumerate(pts):
         gap = abs(x * x + b - pts[(k + 1) % n])
-        if gap > CLOSURE_TOL * max(1.0, x * x):
+        # a NaN gap fails, and so does a point whose square overflows
+        if not gap <= CLOSURE_TOL * max(1.0, x * x) < inf:
             raise LiftValidationFailed(
                 f"source {label}: point {k} maps {gap:.3g} away from the next")
     for d in _proper_divisors(n):
@@ -341,9 +342,9 @@ def _lift_orbits(sources, period: int, kind: str) -> list:
     out = []
     for orb in _phase_orbits(tuple(X.period for X in sources), period):
         xs = [vals[i] for i in orb]
-        pts = list(zip(xs, xs[1:] + xs[:1], xs[2:] + xs[:2]))
+        pts = list(map(Point3, xs, xs[1:] + xs[:1], xs[2:] + xs[:2]))
         i0 = pts.index(min(pts))
-        pts = tuple(itertools.starmap(Point3, pts[i0:] + pts[:i0]))
+        pts = tuple(pts[i0:] + pts[:i0])
         eig, tag = classify_stability(pts, b)
         out.append(Cycle3D(b=b, period=period, points=pts, eigenvalues=eig,
                            stability=tag, provenance=prov))
@@ -355,14 +356,15 @@ def _lift_orbits(sources, period: int, kind: str) -> list:
 
 
 def fixed_point_cycles_1d(params: Params):
-    """The two scalar fixed points 1/2 +- (1/2)sqrt(1-4b) as period-1 cycles."""
-    disc = 1.0 - 4.0 * params.b
+    """The two scalar fixed points 1/2 +- sqrt(1/4 - b) as period-1 cycles;
+    bit for bit 1/2 +- (1/2)sqrt(1 - 4b), which overflows below about
+    b = -4.5e307."""
+    disc = 0.25 - params.b
     if disc < 0.0:
         raise NoRealFixedPoints(f"no real fixed points for b={params.b} > 1/4")
     r = sqrt(disc)
-    xp = 0.5 + 0.5 * r
-    xm = 0.5 - 0.5 * r
-    return cycle1d_from_orbit(params.b, (xp,)), cycle1d_from_orbit(params.b, (xm,))
+    return (cycle1d_from_orbit(params.b, (0.5 + r,)),
+            cycle1d_from_orbit(params.b, (0.5 - r,)))
 
 
 def fixed_points_T(params: Params):
@@ -475,5 +477,5 @@ def census(params: Params, period: int) -> list:
         for periods in itertools.combinations_with_replacement(divisors, k):
             if lcm(*periods) == s:
                 out.extend(mixed_lifts(by_period, periods))
-    out.sort(key=lambda c: tuple(c.points[0]))
+    out.sort(key=lambda c: c.points[0])
     return out

@@ -40,9 +40,10 @@ def fmt(v: float) -> str:
 
 
 def dumps_17g(obj) -> str:
-    """JSON text of nested dicts, lists and tuples of str, bool, None,
-    ints and floats (numpy integer and float scalars included); any other
-    type raises TypeError, and a NaN or infinite float raises ValueError."""
+    """JSON text of nested dicts, lists and tuples (a `Point3` included) of
+    str, bool, None, ints and floats (numpy integer and float scalars
+    included); any other type raises TypeError, and a NaN or infinite float
+    raises ValueError."""
     out = []
     _emit(obj, out, 0)
     out.append("\n")
@@ -161,8 +162,7 @@ def _rows(template: str, *columns) -> str:
 def orbit_csv(points) -> str:
     pts = list(points)
     return "n,x,y,z\n" + _rows("%d,%.17g,%.17g,%.17g\n", range(len(pts)),
-                                [p.x for p in pts], [p.y for p in pts],
-                                [p.z for p in pts])
+                                *zip(*pts))
 
 
 def cycles1d_csv(cycles) -> str:
@@ -231,7 +231,7 @@ def cycle3d_payload(c) -> dict:
         "period": c.period,
         "stability": c.stability,
         "eigenvalues": [float(e) for e in c.eigenvalues],
-        "points": [[p.x, p.y, p.z] for p in c.points],
+        "points": [list(p) for p in c.points],
         "provenance": {
             "kind": c.provenance.kind,
             "sources": list(c.provenance.sources),

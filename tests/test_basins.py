@@ -205,6 +205,32 @@ def test_grid_rejects_degenerate_resolution():
         basin_slice(params, SliceSpec(nu=1, nv=8), cat)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("axis", range(3))
+def test_classify_point_rejects_a_non_finite_start(axis, bad):
+    params = Params(-0.4)
+    cat = build_catalog(params)
+    p = [0.1, -0.2, 0.3]
+    p[axis] = bad
+    with pytest.raises(ValueError, match="every start must be finite"):
+        classify_point(Point3(*p), params, cat)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec", [
+    SliceSpec(fixed_value=np.inf, nu=4, nv=4),
+    SliceSpec(fixed_value=np.nan, nu=4, nv=4),
+    # hi - lo overflows, so every center is inf
+    SliceSpec(u_range=(-1e308, 1e308), nu=4, nv=4),
+    SliceSpec(fixed_axis="x", v_range=(-1e308, 1e308), nu=4, nv=4),
+], ids=["fixed_inf", "fixed_nan", "u_overflow", "v_overflow"])
+def test_basin_slice_rejects_non_finite_cell_centers(spec, threads):
+    params = Params(-0.4)
+    cat = build_catalog(params)
+    with pytest.raises(ValueError, match="every start must be finite"):
+        basin_slice(params, spec, cat, threads=threads)
+
+
 def test_minimal_two_by_two_grid():
     params = Params(-0.4)
     cat = build_catalog(params)

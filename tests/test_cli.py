@@ -122,6 +122,15 @@ def test_non_finite_floats_are_usage_errors(tmp_path, capsys, argv, flag):
 # stdout payloads
 
 
+def test_fixed_points_where_one_minus_4b_overflows():
+    # 1 - 4b is inf at b = -1e308; the fixed points are +-1e154
+    r = run("fixed-points", "--b", "-1e308")
+    assert r.returncode == 0, r.stderr
+    pay = json.loads(r.stdout)
+    assert [c["points"] for c in pay["cycles"]] == \
+        [[[1e154, 1e154, 1e154]], [[-1e154, -1e154, -1e154]]]
+
+
 def test_fixed_points_payload():
     r = run("fixed-points", "--b", "-0.4")
     assert r.returncode == 0
@@ -339,6 +348,18 @@ def test_basin_rejects_empty_tails_by_field(tmp_path, flags, field):
     assert r.returncode == 1
     assert field in r.stderr
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("flag", ["--u-range=-1e308,1e308",
+                                  "--v-range=-1e308,1e308"])
+def test_basin_rejects_cell_centers_that_overflow(tmp_path, flag):
+    # hi - lo is inf, so every center on that axis is inf
+    csv = tmp_path / "basin.csv"
+    r = run("basin", "--b", "-0.4", "--res", "4,4", flag, "--out", str(csv),
+            "--ppm", str(tmp_path / "basin.ppm"))
+    assert r.returncode == 1
+    assert "every start must be finite" in r.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

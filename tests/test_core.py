@@ -21,7 +21,21 @@ def test_single_step_shifts_and_kicks():
 def test_point_protocol():
     p = Point3(1.0, -2.0, 0.5)
     assert tuple(p) == (1.0, -2.0, 0.5)
-    assert p.max_abs() == 2.0
+
+
+def test_point_is_a_named_tuple():
+    p = Point3(1.0, -2.0, 0.5)
+    assert p == (1.0, -2.0, 0.5)
+    assert hash(p) == hash((1.0, -2.0, 0.5))
+    assert (p.x, p.y, p.z) == (p[0], p[1], p[2])
+    assert repr(p) == "Point3(x=1.0, y=-2.0, z=0.5)"
+    pts = orbit(Point3(0.0, -0.5, 0.5), Params(-1.864), 50, 10)
+    arr = np.array(pts)
+    assert arr.dtype == np.float64 and arr.shape == (50, 3)
+    assert arr.tolist() == [list(q) for q in pts]
+    with pytest.raises(Diverged) as exc:
+        orbit(Point3(3.0, 0.0, 0.0), Params(-1.0), 5)
+    assert type(exc.value.point) is Point3
 
 
 def test_params_must_be_finite():
@@ -182,7 +196,7 @@ def _first_state_out(p0, b, n_states):
     outside the escape ball, or None."""
     p = p0
     for k in range(n_states):
-        if p.max_abs() > escape_radius(b):
+        if max(map(abs, p)) > escape_radius(b):
             return k, p
         p = apply_T(p, Params(b))
     return None

@@ -37,6 +37,16 @@ def test_fixed_points_closed_form():
             assert abs(c.multiplier - 2.0 * c.points[0]) <= 1e-9
 
 
+@pytest.mark.parametrize("b", [-1e308, -1.7976931348623157e308])
+def test_fixed_points_stay_finite_where_one_minus_4b_overflows(b):
+    c_plus, c_minus = fixed_point_cycles_1d(Params(b))
+    r = math.sqrt(0.25 - b)
+    assert (c_plus.points, c_minus.points) == ((0.5 + r,), (0.5 - r,))
+    assert all(map(math.isfinite, c_plus.points + c_minus.points))
+    assert [c.points for c in fixed_points_T(Params(b))] == \
+        [(Point3(0.5 + r, 0.5 + r, 0.5 + r),), (Point3(0.5 - r, 0.5 - r, 0.5 - r),)]
+
+
 def test_fixed_points_merge_at_the_tangency():
     c_plus, c_minus = fixed_point_cycles_1d(Params(0.25))
     assert c_plus.points == (0.5,)

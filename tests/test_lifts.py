@@ -296,6 +296,15 @@ def test_lifts_reject_a_bad_source(at_minus_one, kind, defect):
         LIFTS[kind](bad, x2, c2)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e200])
+def test_lifts_reject_a_source_that_is_not_finite_or_overflows(x):
+    # inf - inf and NaN gaps compare false with any tolerance, and a square
+    # that overflows makes the relative tolerance infinite
+    bad = Cycle1D(b=-1.0, period=1, points=(x,), multiplier=2.0 * x)
+    with pytest.raises(LiftValidationFailed, match="source n1@"):
+        lift_homogeneous(bad)
+
+
 def test_lifts_accept_a_large_fixed_point():
     # x^2 + b rounds to ~1e-8 at |x| = 1e4; closure is judged relative to x^2
     x_fixed = fixed_point_cycles_1d(Params(-1e8))[0]
