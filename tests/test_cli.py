@@ -490,6 +490,40 @@ PINNED = [
                    "--out", "preimages.json"),
      {"preimages.json": "2d032a645f4bc9544531d2b2d61e7d00"
                         "7ebd2c206d9d3c6f80fe5c7a416d0aca"}),
+    # the recipe's scalar 3-cycles and its seven locator lines, to files,
+    # pinned while the finder and the locators had their own closure tests
+    ("cycles3_b176", ("cycles-1d", "--b", "-1.76", "--period", "3",
+                      "--out", "cycles3_b176.csv"),
+     {"cycles3_b176.csv": "4e37ea9f36836907248575093b88d9ff"
+                          "784a12ef713cd7ad7f29eaad70f2daa8"}),
+    ("fold1", ("bifurcations", "--kind", "fold", "--period", "1",
+               "--bracket", "0.2,0.3", "--out", "fold1.csv"),
+     {"fold1.csv": "a76a4d3dc0e4e31421d6c85f0d8e187f"
+                   "9280f15e2852fe86e8d26b837b8daa96"}),
+    ("flip1", ("bifurcations", "--kind", "flip", "--period", "1",
+               "--bracket", "-0.8,-0.7", "--out", "flip1.csv"),
+     {"flip1.csv": "0eb83b398fd0f4f74fe1321088e878f8"
+                   "76210aba08be8d494dd04d8132fd5227"}),
+    ("flip2", ("bifurcations", "--kind", "flip", "--period", "2",
+               "--bracket", "-1.3,-1.2", "--out", "flip2.csv"),
+     {"flip2.csv": "77790edd4d328cb710a8f976242b8bd1"
+                   "1ce38690917f242d8e7e3641f073922c"}),
+    ("flip4", ("bifurcations", "--kind", "flip", "--period", "4",
+               "--bracket", "-1.45,-1.3", "--out", "flip4.csv"),
+     {"flip4.csv": "2a59e27ec368e092288f3ba299aa7689"
+                   "c00f715c1a4469101f409d148b2134e8"}),
+    ("fold3", ("bifurcations", "--kind", "fold", "--period", "3",
+               "--bracket", "-1.8,-1.7", "--out", "fold3.csv"),
+     {"fold3.csv": "860f38774d8494eddf5eadd61af17d03"
+                   "1c95ac7bde4e19f8758abaafb375c06b"}),
+    ("flip3", ("bifurcations", "--kind", "flip", "--period", "3",
+               "--bracket", "-1.8,-1.75", "--out", "flip3.csv"),
+     {"flip3.csv": "625c7d9ba78824dc0b0f9b144c8955116"
+                   "372bf8cebd0623f1891f392f2315e26"}),
+    ("transcritical", ("bifurcations", "--kind", "transcritical",
+                       "--bracket", "0.2,0.3", "--out", "transcritical.csv"),
+     {"transcritical.csv": "89b5c4fe5366945d32c623740194a309"
+                           "a842a1a3593444fe73ea52fdd5906f5f"}),
 ]
 
 
