@@ -303,26 +303,21 @@ _COLOR_TABLE = (
 )
 
 
-def _palette(grid: BasinGrid) -> dict:
-    pal = {DIVERGENT: (0, 0, 0), UNDECIDED: (40, 40, 40)}
-    for lab in sorted(set(int(v) for v in np.unique(grid.labels)) |
-                      {a.id for a in grid.attractors}):
-        if lab >= 0:
-            pal[lab] = _COLOR_TABLE[lab % len(_COLOR_TABLE)]
-    return pal
+_MARK_COLORS = {DIVERGENT: (0, 0, 0), UNDECIDED: (40, 40, 40)}
 
 
-def render_grid(grid: BasinGrid) -> bytes:
-    """Binary PPM (P6), one pixel per cell, top row = largest swept v.
-    Labels below UNDECIDED have no color: a grid read from an outside CSV
-    may hold one, and it raises PaletteMissingLabel."""
-    palette = _palette(grid)
-    nv, nu = grid.labels.shape
+def render_grid(labels) -> bytes:
+    """Binary PPM (P6) of an (nv, nu) label array, one pixel per cell, top
+    row = largest swept v.  Attractor id k takes color k mod 10 of the
+    table.  Labels below UNDECIDED have no color: a grid read from an
+    outside CSV may hold one, and it raises PaletteMissingLabel."""
+    nv, nu = labels.shape
     img = np.zeros((nv, nu, 3), dtype=np.uint8)
-    for lab in np.unique(grid.labels):
+    for lab in np.unique(labels):
         key = int(lab)
-        if key not in palette:
+        if key < UNDECIDED:
             raise PaletteMissingLabel(key)
-        img[grid.labels == lab] = palette[key]
+        img[labels == lab] = (_COLOR_TABLE[key % len(_COLOR_TABLE)]
+                              if key >= 0 else _MARK_COLORS[key])
     img = img[::-1]     # v increases upward in the picture
     return b"P6\n%d %d\n255\n" % (nu, nv) + img.tobytes()

@@ -7,10 +7,11 @@ them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) in (x, b),
 with the derivatives `core._jet` carries, started from the cycles
 `find_cycles_1d` finds at the bracket ends, each end over its own
 `search_interval(b)`.  A start counts only if it lands inside the bracket
-on a minimal period-n cycle with the target multiplier.  A cycle born
-with count step 1 is a doubling birth, where the tangency system is
-singular; it is located as the flip of its period-n/2 parent, whose
-multiplier crosses -1 at the same b.
+with the target multiplier on a root that closes a minimal period-n cycle
+by the finder's rule, `cycles._closes_minimally`.  A cycle born with
+count step 1 is a doubling birth, where the tangency system is singular;
+it is located as the flip of its period-n/2 parent, whose multiplier
+crosses -1 at the same b.
 
 An orbit diagram iterates one start at every parameter of a sweep, all
 parameters at once on the batch engine `core._evolve`, and reads each
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Params, Point3, _check_run, _evolve, _jet, escape_radius,
-                   h1d_n)
-from .cycles import _orbit_1d, _sorted_multiplier, find_cycles_1d
+from .core import Params, Point3, _check_run, _evolve, _jet, escape_radius
+from .cycles import (_closes_minimally, _orbit_1d, _sorted_multiplier,
+                     find_cycles_1d)
 from .errors import NoEventInBracket
 
 
@@ -49,20 +50,6 @@ class DiagramDataset:
 
 # ---------------------------------------------------------------------------
 # folds and flips
-
-
-def _is_minimal(x, b, n):
-    p = Params(b)
-    if abs(h1d_n(x, p, n) - x) > 1e-9:
-        return False
-    for d in range(1, n):
-        if n % d == 0 and abs(h1d_n(x, p, d) - x) < 1e-8:
-            return False
-    return True
-
-
-def _multiplier_at(x, b, n):
-    return _sorted_multiplier(_orbit_1d(x, b, n))
 
 
 def _event_polish(x, b, n, target):
@@ -92,10 +79,11 @@ def _first_event(kind, n, starts, target, b_bracket):
     lo, hi = b_bracket
     for cy, b0 in sorted(starts, key=lambda s: abs(s[0].multiplier - target)):
         x, b = _event_polish(cy.points[0], b0, n, target)
-        if (lo <= b <= hi and _is_minimal(x, b, n)
-                and abs(_multiplier_at(x, b, n) - target) <= 1e-7):
+        orb = _orbit_1d(x, b, n + 1)
+        if (lo <= b <= hi and _closes_minimally(orb)
+                and abs(_sorted_multiplier(orb[:n]) - target) <= 1e-7):
             return BifurcationEvent(kind=kind, period=n, b_star=b,
-                                    x_star=min(_orbit_1d(x, b, n)))
+                                    x_star=min(orb[:n]))
     return None
 
 
@@ -169,11 +157,9 @@ def find_transcritical(b_bracket) -> BifurcationEvent:
 
 def event_residuals(ev: BifurcationEvent):
     """(orbit-closure residual, multiplier residual) at the event."""
-    p = Params(ev.b_star)
-    closure = abs(h1d_n(ev.x_star, p, ev.period) - ev.x_star)
-    lam = _multiplier_at(ev.x_star, ev.b_star, ev.period)
+    orb = _orbit_1d(ev.x_star, ev.b_star, ev.period + 1)
     target = -1.0 if ev.kind == "flip" else 1.0
-    return closure, abs(lam - target)
+    return abs(orb[-1] - orb[0]), abs(_sorted_multiplier(orb[:-1]) - target)
 
 
 # ---------------------------------------------------------------------------

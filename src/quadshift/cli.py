@@ -302,7 +302,7 @@ def _cmd_basin(args):
     serialize.save_text(args.out, serialize.basin_csv(grid))
     serialize.save_text(_meta_path(args.out), meta_text)
     if args.ppm:
-        serialize.save_bytes(args.ppm, basins.render_grid(grid))
+        serialize.save_bytes(args.ppm, basins.render_grid(grid.labels))
     kinds = ", ".join(f"#{a.id} {a.kind}" + (f"(p{a.period})" if a.period else "")
                       for a in catalog) or "none"
     print(f"quadshift: basin: {len(catalog)} attractor(s): {kinds}",
@@ -313,13 +313,8 @@ def _cmd_basin(args):
 def _cmd_render(args):
     cfg = {"subcommand": "render", "csv": str(args.csv), "out": str(args.out)}
     _echo(cfg)
-    meta = json.loads(_meta_path(args.csv).read_text())
-    sl = meta["slice"]
-    spec = basins.SliceSpec(fixed_axis=sl["fixed_axis"],
-                            fixed_value=sl["fixed_value"],
-                            u_range=tuple(sl["u_range"]),
-                            v_range=tuple(sl["v_range"]),
-                            nu=sl["nu"], nv=sl["nv"])
+    sl = json.loads(_meta_path(args.csv).read_text())["slice"]
+    nu, nv = sl["nu"], sl["nv"]
     try:
         with warnings.catch_warnings():     # a header-only file is reported below
             warnings.simplefilter("ignore", UserWarning)
@@ -329,21 +324,17 @@ def _cmd_render(args):
         print(f"quadshift: error: render: {args.csv}: {exc}", file=sys.stderr)
         return 2
     i, j, lab = cells.T
-    inside = (i >= 0) & (i < spec.nu) & (j >= 0) & (j < spec.nv)
-    counts = np.bincount(j[inside] * spec.nu + i[inside],
-                         minlength=spec.nu * spec.nv)
+    inside = (i >= 0) & (i < nu) & (j >= 0) & (j < nv)
+    counts = np.bincount(j[inside] * nu + i[inside], minlength=nu * nv)
     if not inside.all() or (counts != 1).any():
         print(f"quadshift: error: render: {args.csv} must list each cell of "
-              f"the {spec.nu}x{spec.nv} grid once: "
-              f"{int((counts == 0).sum())} missing, "
+              f"the {nu}x{nv} grid once: {int((counts == 0).sum())} missing, "
               f"{int((counts > 1).sum())} repeated, "
               f"{int((~inside).sum())} outside it", file=sys.stderr)
         return 2
-    labels = np.empty((spec.nv, spec.nu), dtype=int)
+    labels = np.empty((nv, nu), dtype=int)
     labels[j, i] = lab
-    grid = basins.BasinGrid(b=meta["b"], spec=spec, labels=labels,
-                            attractors=(), options=basins.BasinOptions())
-    serialize.save_bytes(args.out, basins.render_grid(grid))
+    serialize.save_bytes(args.out, basins.render_grid(labels))
     return 0
 
 

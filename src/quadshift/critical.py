@@ -10,7 +10,7 @@ forward orbit of the critical value 0 -- so planes are stored as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 from .core import Params, Point3, h1d, h1d_n
 
@@ -61,8 +61,14 @@ def plane_image(plane: AxisPlane, params: Params) -> AxisPlane:
                      index=plane.index + 1)
 
 
+def _check_finite(p: Point3):
+    if not all(map(isfinite, p)):
+        raise ValueError(f"point must be finite, got {tuple(p)}")
+
+
 def zone_of(p: Point3, params: Params) -> str:
     """"Z2" if z - b > 0 (two preimages), "Z0" if < 0, "on_PC0" at the fold."""
+    _check_finite(p)
     d = p.z - params.b
     if abs(d) <= TIE_TOL:
         return "on_PC0"
@@ -70,6 +76,7 @@ def zone_of(p: Point3, params: Params) -> str:
 
 
 def region_of(p: Point3) -> str:
+    _check_finite(p)
     if abs(p.x) <= TIE_TOL:
         return "on_PC_minus1"
     return "R1" if p.x > 0.0 else "R2"
@@ -78,14 +85,12 @@ def region_of(p: Point3) -> str:
 def preimages(p: Point3, params: Params) -> list:
     """The rank-one preimages of p: two in Z2 (one per half-space), one
     merged preimage on the fold plane, none in Z0."""
-    d = p.z - params.b
-    if abs(d) <= TIE_TOL:
+    zone = zone_of(p, params)
+    if zone == "on_PC0":
         q = Point3(0.0, p.x, p.y)
         return [Preimage(point=q, region=region_of(q))]
-    if d < 0.0:
+    if zone == "Z0":
         return []
-    r = sqrt(d)
-    q1 = Point3(r, p.x, p.y)
-    q2 = Point3(-r, p.x, p.y)
-    return [Preimage(point=q1, region="R1"), Preimage(point=q2, region="R2")]
-
+    r = sqrt(p.z - params.b)
+    return [Preimage(point=Point3(r, p.x, p.y), region="R1"),
+            Preimage(point=Point3(-r, p.x, p.y), region="R2")]

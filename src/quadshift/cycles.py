@@ -94,6 +94,17 @@ def _proper_divisors(n):
     return [d for d in range(1, n) if n % d == 0]
 
 
+def _closes_minimally(orb):
+    """Whether x = orb[0] closes a cycle of minimal period n, where orb is
+    x, H(x), ..., H^n(x): |H^n(x) - x| <= 1e-10, and |H^d(x) - x| >= 1e-8
+    at every proper divisor d of n.  Entry by entry for an array x."""
+    x, n = orb[0], len(orb) - 1
+    keep = abs(orb[n] - x) <= 1e-10
+    for d in _proper_divisors(n):
+        keep &= abs(orb[d] - x) >= 1e-8
+    return keep
+
+
 def _residual_1d(x, params, n):
     return h1d_n(x, params, n) - x
 
@@ -187,10 +198,10 @@ def find_cycles_1d(params: Params, n: int) -> list:
     GRID_POINTS points are bisected, all brackets at once, then polished by
     one array Newton on the jet of H^n; local minima of |H^n(x) - x| below
     1e-3 seed one Newton run each, refined on (H^n)'(x) = 1, so tangent
-    roots at folds are not silently missed.  Roots whose minimal period
-    properly divides n are discarded.  Orbits are deduplicated on sorted
-    points, comparing only orbits whose smallest points fall in a window
-    around each other (the first root found wins).
+    roots at folds are not silently missed.  In-range roots that close a
+    minimal period-n cycle (`_closes_minimally`) are kept.  Orbits are
+    deduplicated on sorted points, comparing only orbits whose smallest
+    points fall in a window around each other (the first root found wins).
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -224,14 +235,8 @@ def find_cycles_1d(params: Params, n: int) -> list:
     # keep converged, in-range, minimal-period roots; row k of orbs is the
     # orbit of the k-th root, column j its j-th image
     x = roots[(lo - 1e-9 <= roots) & (roots <= hi + 1e-9)]
-    orbs = np.empty((x.size, n))
-    orbs[:, 0] = x
-    for j in range(1, n):
-        orbs[:, j] = orbs[:, j - 1] * orbs[:, j - 1] + b
-    keep = np.abs(orbs[:, -1] * orbs[:, -1] + b - x) <= 1e-10
-    for d in _proper_divisors(n):
-        keep &= np.abs(orbs[:, d] - x) >= 1e-8
-    orbs = orbs[keep]
+    orb = _orbit_1d(x, b, n + 1)
+    orbs = np.stack(orb[:n], axis=1)[_closes_minimally(orb)]
 
     # group roots into orbits, dedup on sorted points
     keys = np.sort(orbs, axis=1).tolist()
@@ -403,12 +408,10 @@ def _check_coexisting(cycles):
     bs = {c.b for c in cycles}
     if len(bs) != 1:
         raise ValueError(f"cycles live at different parameters: {sorted(bs)}")
-    keys = [tuple(sorted(c.points)) for c in cycles]
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if cycles[i].period == cycles[j].period and \
-                    max(abs(a - c) for a, c in zip(keys[i], keys[j])) < 1e-9:
-                raise ValueError("source cycles must be distinct")
+    for A, B in itertools.combinations(cycles, 2):
+        if A.period == B.period and \
+                _sup_gap(sorted(A.points), sorted(B.points)) < ORBIT_DEDUP_TOL:
+            raise ValueError("source cycles must be distinct")
 
 
 def lift_mixed_pair(A: Cycle1D, B: Cycle1D) -> list:

@@ -502,7 +502,7 @@ def test_render_header_and_size():
     cat = build_catalog(params)
     spec = _tiny_spec(8)
     grid = basin_slice(params, spec, cat)
-    blob = render_grid(grid)
+    blob = render_grid(grid.labels)
     assert blob.startswith(b"P6\n8 8\n255\n")
     assert len(blob) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
@@ -511,7 +511,7 @@ def test_render_is_deterministic():
     params = Params(-0.8)
     cat = build_catalog(params)
     grid = basin_slice(params, _tiny_spec(8), cat)
-    assert render_grid(grid) == render_grid(grid)
+    assert render_grid(grid.labels) == render_grid(grid.labels)
 
 
 def test_render_rejects_missing_palette_entry():
@@ -521,7 +521,7 @@ def test_render_rejects_missing_palette_entry():
     grid = BasinGrid(b=-2.0, spec=spec, labels=labels, attractors=(),
                      options=BasinOptions())
     with pytest.raises(PaletteMissingLabel, match="label -5"):
-        render_grid(grid)
+        render_grid(grid.labels)
 
 
 def test_render_crafted_grid_has_three_colors():
@@ -529,7 +529,7 @@ def test_render_crafted_grid_has_three_colors():
     labels = np.array([[0, 0], [1, DIVERGENT]])
     grid = BasinGrid(b=-2.0, spec=spec, labels=labels, attractors=(),
                      options=BasinOptions())
-    blob = render_grid(grid)
+    blob = render_grid(grid.labels)
     assert blob.startswith(b"P6\n2 2\n255\n")
     body = blob[len(b"P6\n2 2\n255\n"):]
     pixels = {body[k:k + 3] for k in range(0, 12, 3)}

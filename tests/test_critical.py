@@ -123,6 +123,21 @@ def test_preimages_partition_by_sign():
     assert xs[1] == math.sqrt(1.5)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("classify", [
+    lambda p: zone_of(p, Params(-1.3)), region_of,
+    lambda p: preimages(p, Params(-1.3))],
+    ids=["zone_of", "region_of", "preimages"])
+def test_non_finite_points_are_rejected(classify, bad, axis):
+    # a NaN z once put a point in Z0 while its preimages were two NaN
+    # points in R1 and R2; an infinite z gave preimages at x = +-inf
+    coords = [0.4, -0.2, 0.7]
+    coords[axis] = bad
+    with pytest.raises(ValueError, match="point must be finite"):
+        classify(Point3(*coords))
+
+
 # ---------------------------------------------------------------------------
 # plane / attractor geometry
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
                        classify_stability, cycle1d_label, find_cycles_1d,
+                       find_flip, find_fold, find_transcritical,
                        fixed_point_cycles_1d, fixed_points_T, jacobian_T,
                        lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
                        lift_mixed_triple, stability_block_length)
 from quadshift.cycles import (ORBIT_DEDUP_TOL, STABILITY_TOL,
-                              _bisect_brackets, _first_distinct,
-                              _newton_1d_array, _residual_1d)
+                              _bisect_brackets, _closes_minimally,
+                              _first_distinct, _newton_1d_array, _orbit_1d,
+                              _residual_1d)
 
 
 def two_cycle_points(b):
@@ -97,6 +99,44 @@ def test_minimal_period_filter_drops_fixed_points():
     for c in find_cycles_1d(Params(-1.3), 2):
         assert c.period == 2
         assert len(set(c.points)) == 2
+
+
+def _minimal_verdicts(xs, b, n):
+    return _closes_minimally(_orbit_1d(xs, b, n + 1))
+
+
+def test_closure_rule_on_floats_equals_the_array_rule():
+    # the 4-cycle's points at b = -1.3, the period-2 and fixed-point roots
+    # of H^4(x) = x, and copies of all eight moved off by a little
+    b = -1.3
+    roots = [x for d in (1, 2, 4) for c in find_cycles_1d(Params(b), d)
+             for x in c.points]
+    xs = roots + [x + e for e in (1e-11, -3e-11, 1e-9, -1e-6) for x in roots]
+    verdicts = _minimal_verdicts(np.array(xs), b, 4).tolist()
+    assert verdicts == [_minimal_verdicts(x, b, 4) for x in xs]
+    assert verdicts[:8] == [False] * 4 + [True] * 4
+    assert verdicts[8:16] == [False] * 4 + [True] * 4
+    assert not any(verdicts[24:])
+
+
+@pytest.mark.parametrize("b", [-2.3, -2.0, -1.76, -1.3, -0.5])
+def test_every_found_cycle_passes_the_closure_rule(b):
+    # the finder keeps one root per orbit and lists its forward images,
+    # whose closure error can grow up to |2x| per step, so at least one
+    # point of each cycle passes
+    for n in range(1, 11):
+        for c in find_cycles_1d(Params(b), n):
+            assert _minimal_verdicts(np.array(c.points), b, n).any()
+
+
+@pytest.mark.parametrize("locate, n, bracket", [
+    (find_fold, 1, (0.2, 0.3)), (find_flip, 1, (-0.8, -0.7)),
+    (find_flip, 2, (-1.3, -1.2)), (find_flip, 4, (-1.45, -1.3)),
+    (find_fold, 3, (-1.8, -1.7)), (find_flip, 3, (-1.8, -1.75)),
+    (lambda n, bracket: find_transcritical(bracket), 1, (0.2, 0.3))])
+def test_every_recipe_event_passes_the_closure_rule(locate, n, bracket):
+    ev = locate(n, bracket)
+    assert _minimal_verdicts(ev.x_star, ev.b_star, ev.period) is True
 
 
 def test_cycle1d_points_are_min_first():
