@@ -524,6 +524,20 @@ PINNED = [
                        "--bracket", "0.2,0.3", "--out", "transcritical.csv"),
      {"transcritical.csv": "89b5c4fe5366945d32c623740194a309"
                            "a842a1a3593444fe73ea52fdd5906f5f"}),
+    # the two `tables` census jobs not pinned above, and the one CLI path
+    # through lift_mixed_triple, pinned while each lift built its points
+    ("census18_b19", ("census", "--b", "-1.9", "--period", "18",
+                      "--out", "census18_b19.json"),
+     {"census18_b19.json": "f5c56c7839ff132316875b3f03ab81db"
+                           "06e03ad5fea3db3832fcf3ab1e951bde"}),
+    ("census15_b2", ("census", "--b", "-2", "--period", "15",
+                     "--out", "census15_b2.json"),
+     {"census15_b2.json": "2c0a6e4ac13ae6fbd905e57e1bcd3e05"
+                          "300df45a519447f57f2232d803e9cd14"}),
+    ("lift_triple", ("lift", "--b", "-1.3", "--periods", "1,1,4",
+                     "--out", "lift_triple.json"),
+     {"lift_triple.json": "5bb5cfddec0bd589d304d4cc85c079b6"
+                          "88d38d5c503a51795f376d4f2f42c1ab"}),
 ]
 
 
