@@ -161,7 +161,7 @@ def _cmd_lift(args):
     else:
         found = [cycles.lift_homogeneous(X) for X in by_p[periods[0]]]
     # census's order: every run lists cycles of one period
-    found.sort(key=lambda c: c.points[0])
+    found.sort(key=lambda c: c.stream)
     _deliver(serialize.dumps_17g(_cycles3d_payload(args.b, cfg, found)),
              args.out)
     return 0
@@ -310,30 +310,55 @@ def _cmd_basin(args):
     return 0
 
 
-def _cmd_render(args):
-    cfg = {"subcommand": "render", "csv": str(args.csv), "out": str(args.out)}
-    _echo(cfg)
-    sl = json.loads(_meta_path(args.csv).read_text())["slice"]
-    nu, nv = sl["nu"], sl["nv"]
+def _grid_size(meta_path):
+    """The (nu, nv) that a basin sidecar's "slice" records; a ValueError
+    says what the file lacks."""
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    sl = meta.get("slice") if isinstance(meta, dict) else None
+    size = [sl.get(k) for k in ("nu", "nv")] if isinstance(sl, dict) else ()
+    if len(size) != 2 or not all(type(n) is int and n >= 1 for n in size):
+        raise ValueError(f'{meta_path} must hold a "slice" with positive '
+                         f'integers "nu" and "nv"')
+    return size
+
+
+def _label_array(csv, nu, nv):
+    """The (nv, nu) label array of a basin CSV that lists each grid cell
+    once; a ValueError says how the file falls short of that."""
     try:
         with warnings.catch_warnings():     # a header-only file is reported below
             warnings.simplefilter("ignore", UserWarning)
-            cells = np.loadtxt(args.csv, delimiter=",", skiprows=1,
+            cells = np.loadtxt(csv, delimiter=",", skiprows=1,
                                usecols=(0, 1, 4), dtype=int, ndmin=2)
     except ValueError as exc:
-        print(f"quadshift: error: render: {args.csv}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{csv}: {exc}") from None
+    must = f"{csv} must list each cell of the {nu}x{nv} grid once"
+    # checked before the per-cell counts, whose length the sidecar alone sets
+    if len(cells) != nu * nv:
+        raise ValueError(f"{must}: it has {len(cells)} rows")
     i, j, lab = cells.T
     inside = (i >= 0) & (i < nu) & (j >= 0) & (j < nv)
     counts = np.bincount(j[inside] * nu + i[inside], minlength=nu * nv)
     if not inside.all() or (counts != 1).any():
-        print(f"quadshift: error: render: {args.csv} must list each cell of "
-              f"the {nu}x{nv} grid once: {int((counts == 0).sum())} missing, "
-              f"{int((counts > 1).sum())} repeated, "
-              f"{int((~inside).sum())} outside it", file=sys.stderr)
-        return 2
+        raise ValueError(f"{must}: {int((counts == 0).sum())} missing, "
+                         f"{int((counts > 1).sum())} repeated, "
+                         f"{int((~inside).sum())} outside it")
     labels = np.empty((nv, nu), dtype=int)
     labels[j, i] = lab
+    return labels
+
+
+def _cmd_render(args):
+    cfg = {"subcommand": "render", "csv": str(args.csv), "out": str(args.out)}
+    _echo(cfg)
+    try:
+        labels = _label_array(args.csv, *_grid_size(_meta_path(args.csv)))
+    except ValueError as exc:
+        print(f"quadshift: error: render: {exc}", file=sys.stderr)
+        return 2
     serialize.save_bytes(args.out, basins.render_grid(labels))
     return 0
 

@@ -9,7 +9,8 @@ state whose coordinates are points of scalar cycles is a triple of (cycle,
 phase) pairs, and T sends (a:i, b:j, c:k) to (b:j, c:k, a:i+1).  These
 integer orbits depend only on the sources' sizes and are walked once per
 tuple of sizes; every lift, the fixed points included, checks its sources
-and reads its points off that walk.  Period 3s takes the 3n lifts of the
+and reads off that walk one x-stream per 3D orbit, from which the orbit's
+points and eigenvalues follow.  Period 3s takes the 3n lifts of the
 period-s cycles and, for every multiset of 2 or 3 periods whose lcm is s,
 the mixed lifts of all distinct cycles with those periods.
 """
@@ -56,12 +57,21 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Cycle3D:
+    """A 3D cycle kept as its x-stream x_0 .. x_{P-1}: since T shifts the
+    coordinates, point t is (x_t, x_{t+1}, x_{t+2}), indices mod P."""
     b: float
     period: int
-    points: tuple             # orbit order, lexicographically smallest first
+    stream: tuple             # P floats, smallest point first
     eigenvalues: tuple        # three reals, descending
     stability: str            # "stable" | "unstable" | "nonhyperbolic"
     provenance: Provenance
+
+    @property
+    def points(self) -> tuple:
+        """The P points in orbit order, lexicographically smallest first,
+        built from the stream on each read."""
+        xs, P = self.stream * 3, self.period
+        return tuple(map(Point3, xs[:P], xs[1:P + 1], xs[2:P + 2]))
 
 
 def cycle1d_label(c: Cycle1D) -> str:
@@ -86,7 +96,13 @@ def cycle1d_from_orbit(b, points) -> Cycle1D:
 
 
 def _rotate_min_first(orb):
-    i0 = min(range(len(orb)), key=lambda i: orb[i])
+    """orb rotated to start at its smallest window of three, (orb[i],
+    orb[i+1], orb[i+2]) with indices mod len(orb): a 3D stream starts at
+    its smallest point, and a scalar orbit, whose points are distinct, at
+    its smallest point."""
+    n, lo = len(orb), min(orb)
+    i0 = min((i for i, x in enumerate(orb) if x == lo),
+             key=lambda i: (orb[(i + 1) % n], orb[(i + 2) % n]))
     return tuple(orb[i0:]) + tuple(orb[:i0])
 
 
@@ -255,7 +271,14 @@ def stability_block_length(period: int) -> int:
 
 
 def classify_stability(points, b):
-    """Eigenvalue triple and stability tag of a 3D cycle.
+    """Eigenvalue triple and stability tag of a 3D cycle given as its
+    points in orbit order; the eigenvalues depend on their x-stream alone."""
+    return _stream_stability([p.x for p in points])
+
+
+def _stream_stability(xs):
+    """Eigenvalue triple and stability tag of the 3D cycle whose x-stream,
+    in step order, is xs.
 
     The Jacobian product is taken over the cycle's period when that is a
     multiple of 3 and over 3x the period otherwise -- the smallest block on
@@ -263,11 +286,10 @@ def classify_stability(points, b):
     diagonal entry r is the product of 2x over the steps k = r (mod 3),
     accumulated in step order; `+ 0.0` turns a superstable -0.0 into 0.0.
     """
-    pts = list(points)
-    P = len(pts)
+    P = len(xs)
     eig = [1.0, 1.0, 1.0]
     for k in range(stability_block_length(P)):
-        eig[k % 3] *= 2.0 * pts[k % P].x
+        eig[k % 3] *= 2.0 * xs[k % P]
     eig = tuple(sorted((v + 0.0 for v in eig), reverse=True))
     mags = [abs(v) for v in eig]
     if any(abs(m - 1.0) <= STABILITY_TOL for m in mags):
@@ -338,7 +360,8 @@ def _phase_orbits(sizes: tuple, period: int) -> tuple:
 def _lift_orbits(sources, period: int, kind: str) -> list:
     """Every 3D cycle of minimal period `period` whose coordinates run
     through all of the given scalar cycles (at one b) and no others, read
-    off the phase-orbit table of their sizes, smallest point first."""
+    off the phase-orbit table of their sizes as x-streams, smallest point
+    first."""
     for X in sources:
         _check_source(X)
     vals = [x for X in sources for x in X.points]
@@ -346,12 +369,9 @@ def _lift_orbits(sources, period: int, kind: str) -> list:
     prov = Provenance(kind, tuple(cycle1d_label(X) for X in sources))
     out = []
     for orb in _phase_orbits(tuple(X.period for X in sources), period):
-        xs = [vals[i] for i in orb]
-        pts = list(map(Point3, xs, xs[1:] + xs[:1], xs[2:] + xs[:2]))
-        i0 = pts.index(min(pts))
-        pts = tuple(pts[i0:] + pts[:i0])
-        eig, tag = classify_stability(pts, b)
-        out.append(Cycle3D(b=b, period=period, points=pts, eigenvalues=eig,
+        xs = _rotate_min_first([vals[i] for i in orb])
+        eig, tag = _stream_stability(xs)
+        out.append(Cycle3D(b=b, period=period, stream=xs, eigenvalues=eig,
                            stability=tag, provenance=prov))
     return out
 
@@ -480,5 +500,6 @@ def census(params: Params, period: int) -> list:
         for periods in itertools.combinations_with_replacement(divisors, k):
             if lcm(*periods) == s:
                 out.extend(mixed_lifts(by_period, periods))
-    out.sort(key=lambda c: c.points[0])
+    # one period, and a point lies on one orbit: the order by first point
+    out.sort(key=lambda c: c.stream)
     return out

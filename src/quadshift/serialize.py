@@ -227,15 +227,16 @@ def basin_csv(grid: BasinGrid) -> str:
 
 
 def cycle3d_payload(c) -> dict:
+    pts = c.points      # built from the stream on each read
     return {
         "period": c.period,
         "stability": c.stability,
         "eigenvalues": [float(e) for e in c.eigenvalues],
-        "points": [list(p) for p in c.points],
+        "points": [list(p) for p in pts],
         "provenance": {
             "kind": c.provenance.kind,
             "sources": list(c.provenance.sources),
-            "seed": list(c.points[0]),
+            "seed": list(pts[0]),
         },
     }
 

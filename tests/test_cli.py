@@ -335,6 +335,50 @@ def test_render_rejects_a_csv_that_does_not_cover_the_grid(tmp_path, basin_6x5,
     assert not out.exists()
 
 
+def _render_with_sidecar(tmp_path, basin_6x5, capsys, sidecar):
+    # in-process, so an exception that escapes `main` fails the test
+    csv = tmp_path / "basin.csv"
+    csv.write_bytes(basin_6x5.read_bytes())
+    (tmp_path / "basin.meta.json").write_text(sidecar)
+    out = tmp_path / "basin.ppm"
+    code = main(["render", "--csv", str(csv), "--out", str(out)])
+    _config, *errors = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    return code, errors
+
+
+_BAD_SIDECARS = {"no_slice": '{"b": -0.4}',
+                 "a_list": "[1, 2]",
+                 "no_nv": '{"slice": {"nu": 6}}',
+                 "nu_not_an_integer": '{"slice": {"nu": 6.5, "nv": 5}}',
+                 "nu_a_string": '{"slice": {"nu": "6", "nv": 5}}',
+                 "nu_zero": '{"slice": {"nu": 0, "nv": 5}}',
+                 "not_json": '{"slice": '}
+
+
+@pytest.mark.parametrize("sidecar", _BAD_SIDECARS.values(),
+                         ids=_BAD_SIDECARS.keys())
+def test_render_rejects_a_sidecar_without_a_grid_size(tmp_path, basin_6x5,
+                                                      capsys, sidecar):
+    code, errors = _render_with_sidecar(tmp_path, basin_6x5, capsys, sidecar)
+    assert code == 2
+    assert len(errors) == 1
+    assert errors[0].startswith("quadshift: error: render: ")
+    assert "basin.meta.json" in errors[0]
+
+
+def test_render_checks_the_row_count_before_sizing_the_grid(tmp_path,
+                                                            basin_6x5, capsys):
+    # 10^16 cells would not fit in memory; the 30-row file is refused first
+    code, errors = _render_with_sidecar(
+        tmp_path, basin_6x5, capsys,
+        '{"slice": {"nu": 100000000, "nv": 100000000}}')
+    assert code == 2
+    assert len(errors) == 1
+    assert errors[0].endswith("must list each cell of the "
+                              "100000000x100000000 grid once: it has 30 rows")
+
+
 @pytest.mark.parametrize("flags, field", [
     (("--match-tol", "inf"), "match_tol"),
     (("--max-iter", "0", "--transient", "0"), "max_iter + transient"),

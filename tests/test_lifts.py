@@ -13,7 +13,7 @@ import pytest
 
 from quadshift import (Cycle1D, LiftValidationFailed, Params,
                        PeriodDivisibleBy3, Point3, apply_T, census,
-                       find_cycles_1d, fixed_point_cycles_1d,
+                       find_cycles_1d, fixed_point_cycles_1d, fixed_points_T,
                        lift_homogeneous, lift_homogeneous_3n,
                        lift_mixed_pair, lift_mixed_triple)
 
@@ -422,3 +422,44 @@ def test_lifted_eigenvalues_are_scalar_multiplier_triples(at_minus_13):
     c = lift_homogeneous(c2)
     lam = 4.0 * (params.b + 1.0)
     assert c.eigenvalues == pytest.approx((lam, lam, lam), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# a 3D cycle is its x-stream
+
+
+def _stream_lifts(b):
+    params = Params(b)
+    x1, x2 = find_cycles_1d(params, 1)
+    (c2,) = find_cycles_1d(params, 2)
+    return [*fixed_points_T(params), lift_homogeneous(c2),
+            *lift_homogeneous_3n(c2), *lift_mixed_triple(x1, x2, c2)]
+
+
+@pytest.mark.parametrize("b", [-1.0, -1.3])
+def test_a_3d_cycle_is_its_x_stream_smallest_point_first(b):
+    found = _stream_lifts(b)
+    assert sorted({c.period for c in found}) == [1, 2, 6]
+    for c in found:
+        s, P = c.stream, c.period
+        assert len(s) == P
+        # point t is (s_t, s_{t+1}, s_{t+2}), indices mod P
+        assert c.points == tuple((s[t], s[(t + 1) % P], s[(t + 2) % P])
+                                 for t in range(P))
+        assert c.points[0] == min(c.points)
+
+
+def _necklace(n):
+    # minimal-period-n orbits of a map with 2^d points of period d | n
+    prime = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prime[d] = 2 ** d - sum(v for e, v in prime.items() if d % e == 0)
+    return prime[n] // n
+
+
+@pytest.mark.parametrize("p, count", [(18, 14532), (21, 99858)])
+def test_census_at_minus_two_meets_the_moebius_count(p, count):
+    # for b <= -2, T^d fixes 2^d points, so T has necklace(p) period-p orbits
+    assert _necklace(p) == count
+    assert len(census(Params(-2.0), p)) == count

@@ -12,6 +12,7 @@ import inspect
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
@@ -52,6 +53,18 @@ def test_import_times_reports_every_module():
     times = tracing.import_times()
     assert sorted(times) == ["cli.import_numpy_s", "cli.import_s",
                              "cli.import_scipy_s"]
+    assert all(isinstance(t, float) and math.isfinite(t) and t >= 0
+               for t in times.values())
+
+
+def test_the_census_probe_reads_every_census_orbit():
+    # the traced `tables` run re-calls classify_stability and cycle3d_key
+    # on the points of every orbit that census returned
+    from quadshift import Params, census
+    tracer = SimpleNamespace(census_results=[(-1.0, census(Params(-1.0), 6))])
+    times = tracing.probe_census_orbits(tracer)
+    assert sorted(times) == ["cycles.classify_stability_s",
+                             "cycles.cycle3d_key_s"]
     assert all(isinstance(t, float) and math.isfinite(t) and t >= 0
                for t in times.values())
 
