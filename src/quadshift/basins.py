@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Params, Point3, _evolve, escape_radius, orbit
+from .core import Params, Point3, _evolve, orbit
 from .errors import Diverged, PaletteMissingLabel
 
 DIVERGENT = -1
@@ -78,7 +78,19 @@ class Attractor:
     kind: str               # "fixed_point" | "cycle" | "chaotic"
     period: int | None
     signature: np.ndarray   # (m, 3), treated as read-only
-    b: float
+
+
+def _cell_centers(span, n):
+    """Centers lo + (i + 0.5)*(hi - lo)/n of n equal cells over (lo, hi);
+    where that overflows between finite ends, (1 - t)*lo + t*hi with
+    t = (i + 0.5)/n, so finite ends give finite centers."""
+    lo, hi = span
+    t = np.arange(n) + 0.5
+    with np.errstate(over="ignore"):
+        c = lo + t * (hi - lo) / n
+    if np.isfinite(c).all() or not np.isfinite(span).all():
+        return c
+    return (1 - t / n) * lo + t / n * hi
 
 
 @dataclass(frozen=True)
@@ -95,12 +107,10 @@ class SliceSpec:
         return _SWEPT[self.fixed_axis]
 
     def u_centers(self):
-        lo, hi = self.u_range
-        return lo + (np.arange(self.nu) + 0.5) * (hi - lo) / self.nu
+        return _cell_centers(self.u_range, self.nu)
 
     def v_centers(self):
-        lo, hi = self.v_range
-        return lo + (np.arange(self.nv) + 0.5) * (hi - lo) / self.nv
+        return _cell_centers(self.v_range, self.nv)
 
     def cell_point(self, i, j) -> Point3:
         coords = {self.fixed_axis: self.fixed_value}
@@ -172,16 +182,15 @@ def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
     if not all(np.isfinite(C).all() for C in (X0, Y0, Z0)):
         raise ValueError("every start must be finite; a cell center or "
                          "start is NaN or infinite")
-    R = escape_radius(b)
     n_steps = options.transient + options.max_iter
-    escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, TAIL_SAMPLES, R)
+    escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, TAIL_SAMPLES)
     labels = _match_tails(streams, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
     retry = np.nonzero(labels == UNDECIDED)[0]
     if retry.size:
         n_long = options.transient + RETRY_FACTOR * options.max_iter
         esc2, streams2 = _evolve(X0[retry], Y0[retry], Z0[retry], b, n_long,
-                                 TAIL_SAMPLES, R)
+                                 TAIL_SAMPLES)
         sub = _match_tails(streams2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
         labels[retry] = sub
@@ -230,7 +239,7 @@ def build_catalog(params: Params, seeds=None,
         res = _limit_set_of(seed, params, options)
         if res is not None and not any(_same_limit_set(res, f) for f in found):
             found.append(res)
-    return [Attractor(id=i, kind=k, period=per, signature=sig, b=params.b)
+    return [Attractor(id=i, kind=k, period=per, signature=sig)
             for i, (k, per, sig) in enumerate(found)]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, Point3, _check_run, _evolve, _jet, escape_radius
+from .core import Params, Point3, _check_run, _evolve, _jet
 from .cycles import (_closes_minimally, _orbit_1d, _sorted_multiplier,
                      find_cycles_1d)
 from .errors import NoEventInBracket
@@ -183,16 +183,13 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
     _check_run(p0, samples, transient, "samples")
     bs = [b_hi if k == steps - 1 else b_lo + (b_hi - b_lo) * k / (steps - 1)
           for k in range(steps)]
-    R = np.array([escape_radius(bv) for bv in bs])
     escaped, streams = _evolve(
         np.full(steps, p0.x), np.full(steps, p0.y), np.full(steps, p0.z),
-        np.array(bs), transient + samples - 1, samples, R)
-    # state k's x is s_k; _evolve never tests s_0, the x of state 0
-    bounded = ~escaped & ~(abs(p0.x) > R)
+        np.array(bs), transient + samples - 1, samples)
     j = transient + np.arange(samples)
-    rows = tuple(DiagramRow(b=bv, samples=tuple(streams.value(j, i).tolist())
-                            if ok else None)
-                 for i, (bv, ok) in enumerate(zip(bs, bounded.tolist())))
+    rows = tuple(DiagramRow(b=bv, samples=None if out
+                            else tuple(streams.value(j, i).tolist()))
+                 for i, (bv, out) in enumerate(zip(bs, escaped.tolist())))
     return DiagramDataset(rows=rows)
 
 

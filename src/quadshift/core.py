@@ -11,9 +11,9 @@ escape rule.  `_jet` is the one loop that carries derivatives of H^n, for
 every Newton solve in `cycles` and `bifurcations`.
 
 Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
-coordinate grows without bound, so orbits, spectra, diagrams and basins
-all test escape against one radius per parameter, `escape_radius(b)`, and
-the scalar cycle search covers `search_interval(b)`, which holds [-beta, beta].
+coordinate grows without bound, so every loop tests every sample, the
+start's included, against `escape_radius(b)`, which it reads from b; the
+scalar cycle search covers `search_interval(b)`, which holds [-beta, beta].
 """
 from __future__ import annotations
 
@@ -145,9 +145,10 @@ def _samples(p0: Point3, b: float):
     return chain.from_iterable(zip(*(_iterates(u, b) for u in p0)))
 
 
-def _diverged(p0: Point3, b: float, R: float) -> Diverged:
+def _diverged(p0: Point3, b: float) -> Diverged:
     """The Diverged of an orbit that leaves the ball: state k is out iff some
     |s_j| > R, k <= j <= k+2, so the first such j gives state max(0, j-2)."""
+    R = escape_radius(b)
     j = next(j for j, u in enumerate(_samples(p0, b)) if abs(u) > R)
     k = max(0, j - 2)
     return Diverged(k, Point3(*islice(_samples(p0, b), k, k + 3)))
@@ -167,7 +168,7 @@ def orbit(p0: Point3, params: Params, n: int,
     s = []
     for j, u in enumerate(islice(_samples(p0, b), transient + n + 2)):
         if abs(u) > R:
-            raise _diverged(p0, b, R)
+            raise _diverged(p0, b)
         if j >= transient:
             s.append(u)
     return list(map(Point3, s, s[1:], s[2:]))
@@ -195,20 +196,20 @@ class _Streams:
         return self.value(self.first + t + np.arange(3), cells[:, None])
 
 
-def _evolve(X, Y, Z, b, n_steps, tail_n, R):
+def _evolve(X, Y, Z, b, n_steps, tail_n):
     """Advance a batch of states n_steps (>= 0); keep the last tail_n states.
 
-    b and R are floats or one value per cell (equal R for equal b).
-    Returns (escaped mask, _Streams of the last tail_n states), bit-equal
-    to stepping the 3D map, but the batch is never stepped in 3D: the state
-    after step k is (s_{k+1}, s_{k+2}, s_{k+3}), and stream
-    start_index*nb + b_index runs (n_steps+2)//3 steps of H for every
-    distinct start value and every distinct b, by bit pattern (so -0.0
-    stays apart from 0.0); a basin slice (one b) and an orbit diagram (one
-    start at every b) use every pair of that grid.  A cell escaped iff
-    some |s_j| > R for 1 <= j <= n_steps+2 (s_0 is never tested); tail
-    sample i, column c is s_{first+i+c}.  Escaped streams run on toward
-    inf, cheap and NaN-free.
+    b is a float or one value per cell.  Returns (escaped mask, _Streams of
+    the last tail_n states), bit-equal to stepping the 3D map, but the
+    batch is never stepped in 3D: the state after step k is (s_{k+1},
+    s_{k+2}, s_{k+3}), and stream start_index*nb + b_index runs
+    (n_steps+2)//3 steps of H for every distinct start value and every
+    distinct b, by bit pattern (so -0.0 stays apart from 0.0); a basin
+    slice (one b) and an orbit diagram (one start at every b) use every
+    pair of that grid.  A cell escaped iff some |s_j| > escape_radius(b)
+    for 0 <= j <= n_steps+2, the states `orbit` tests; tail sample i,
+    column c is s_{first+i+c}.  Escaped streams run on toward inf, cheap
+    and NaN-free.
     """
     N = X.size
     tail_n = min(tail_n, n_steps)
@@ -217,34 +218,27 @@ def _evolve(X, Y, Z, b, n_steps, tail_n, R):
                               .view(np.int64), return_inverse=True)
     b_keys, b_inv = np.unique(np.asarray(b, dtype=np.float64).view(np.int64),
                               return_inverse=True)
+    b_keys = b_keys.view(np.float64)
     ns, nb = s_keys.size, b_keys.size
-    R_b = np.empty(nb)
-    R_b[b_inv] = R
     inv = s_inv.reshape(3, N)      # each cell's (start, b) stream, in place
     inv *= nb
     inv += b_inv.reshape(-1)
     w0 = np.repeat(s_keys.view(np.float64), nb)
-    bw, Rw = np.tile(b_keys.view(np.float64), ns), np.tile(R_b, ns)
+    bw, Rw = np.tile((b_keys, list(map(escape_radius, b_keys.tolist()))), ns)
     n_iter = (n_steps + 2) // 3         # s_{n_steps+2} is H^n_iter of some start
     m_lo = first // 3                   # the first tail sample is H^m_lo of some start
     kept = np.empty((n_iter - m_lo + 1, w0.size))
-    hit0 = np.abs(w0) > Rw
-    hit = np.zeros(w0.size, dtype=bool)  # |H^m(u)| > R for some 1 <= m <= current
+    hit = np.zeros(w0.size, dtype=bool)  # |H^m(u)| > R for some m <= current
     hits_upto = {}                      # the last two m: where the streams' tests end
     with np.errstate(over="ignore", invalid="ignore"):
         for m, w in enumerate(islice(_iterates(w0, bw), n_iter + 1)):
-            if m:
-                hit = hit | (np.abs(w) > Rw)
+            hit = hit | (np.abs(w) > Rw)
             if m >= m_lo:
                 kept[m - m_lo] = w
             if m >= n_iter - 1:
                 hits_upto[m] = hit
     escaped = np.zeros(N, dtype=bool)
     for r in range(3):
-        # stream r is tested up to m = (n_steps+2-r)//3, n_iter or n_iter-1;
-        # x is first tested after its first step, y and z already at m = 0
-        esc = hits_upto[(n_steps + 2 - r) // 3]
-        if r:
-            esc = esc | hit0
-        escaped |= esc[inv[r]]
+        # stream r is tested up to m = (n_steps+2-r)//3, n_iter or n_iter-1
+        escaped |= hits_upto[(n_steps + 2 - r) // 3][inv[r]]
     return escaped, _Streams(kept, inv, first, tail_n)

@@ -36,10 +36,11 @@ class Exponent1D:
     n_used: int
 
 
-def _log_sum(u, b, R, lo, hi, end):
+def _log_sum(u, b, lo, hi, end):
     """(sum, floored): the sum of log|2 H^m(u)| over lo <= m < hi, each log
     argument floored at LOG_FLOOR, and whether one was.  Raises Diverged(m)
-    at the first m < end with |H^m(u)| > R.  Keeps no stream."""
+    at the first m < end with |H^m(u)| > escape_radius(b); keeps no stream."""
+    R = escape_radius(b)
     s = 0.0
     floored = False
     for m, v in enumerate(islice(_iterates(u, b), end)):
@@ -63,14 +64,13 @@ def lyapunov_spectrum(p0: Point3, params: Params, n_iter: int = 10**6,
     """
     _check_run(p0, n_iter, transient, "n_iter")
     b = params.b
-    R = escape_radius(b)
     # stream r holds s_{3m+r}: the m of its summed and its tested samples
     bounds = (transient, transient + n_iter, transient + n_iter + 2)
     try:
-        sums = [_log_sum(u, b, R, *((j - r + 2) // 3 for j in bounds))[0]
+        sums = [_log_sum(u, b, *((j - r + 2) // 3 for j in bounds))[0]
                 for r, u in enumerate(p0)]
     except Diverged:
-        raise _diverged(p0, b, R) from None
+        raise _diverged(p0, b) from None
     exps = tuple(sorted((s / n_iter for s in sums), reverse=True))
     return LyapunovResult(exponents=exps, n_used=n_iter, b=b)
 
@@ -80,6 +80,5 @@ def lyapunov_1d(x0: float, params: Params, n_iter: int = 10**6,
     """Average of log|2x| along the scalar orbit; floored on critical hits."""
     _check_run((x0,), n_iter, transient, "n_iter")
     end = transient + n_iter
-    s, floored = _log_sum(x0, params.b, escape_radius(params.b), transient,
-                          end, end)
+    s, floored = _log_sum(x0, params.b, transient, end, end)
     return Exponent1D(value=s / n_iter, superstable=floored, n_used=n_iter)

@@ -14,7 +14,8 @@ from scipy.spatial import cKDTree
 from quadshift import (DIVERGENT, UNDECIDED, Attractor, BasinGrid,
                        BasinOptions, Diverged, PaletteMissingLabel, Params,
                        Point3, SliceSpec, basin_slice, basins, build_catalog,
-                       classify_point, default_seeds, orbit, render_grid)
+                       classify_point, default_seeds, escape_radius, orbit,
+                       render_grid)
 
 from conftest import BASIN_CHECK_OPTIONS
 
@@ -160,7 +161,7 @@ def test_classify_unmatched_is_undecided():
     # empty catalog: bounded orbits can never match and stay UNDECIDED
     params = Params(-0.4)
     fake = Attractor(id=0, kind="fixed_point", period=1,
-                     signature=np.array([[9.0, 9.0, 9.0]]), b=-0.4)
+                     signature=np.array([[9.0, 9.0, 9.0]]))
     lab = classify_point(Point3(0.1, 0.0, 0.0), params, [fake],
                          BasinOptions(max_iter=200, transient=50))
     assert lab == UNDECIDED
@@ -220,15 +221,58 @@ def test_classify_point_rejects_a_non_finite_start(axis, bad):
 @pytest.mark.parametrize("spec", [
     SliceSpec(fixed_value=np.inf, nu=4, nv=4),
     SliceSpec(fixed_value=np.nan, nu=4, nv=4),
-    # hi - lo overflows, so every center is inf
-    SliceSpec(u_range=(-1e308, 1e308), nu=4, nv=4),
-    SliceSpec(fixed_axis="x", v_range=(-1e308, 1e308), nu=4, nv=4),
-], ids=["fixed_inf", "fixed_nan", "u_overflow", "v_overflow"])
+], ids=["fixed_inf", "fixed_nan"])
 def test_basin_slice_rejects_non_finite_cell_centers(spec, threads):
     params = Params(-0.4)
     cat = build_catalog(params)
     with pytest.raises(ValueError, match="every start must be finite"):
         basin_slice(params, spec, cat, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("spec", [
+    # hi - lo overflows, but every center lies between the finite ends
+    SliceSpec(u_range=(-1e308, 1e308), nu=4, nv=4),
+    SliceSpec(fixed_axis="x", v_range=(-1e308, 1e308), nu=4, nv=4),
+], ids=["u_overflow", "v_overflow"])
+def test_basin_slice_centers_stay_finite_where_the_span_overflows(spec,
+                                                                 threads):
+    # centers far beyond the escape radius, none of them rejected
+    params = Params(-0.4)
+    grid = basin_slice(params, spec, build_catalog(params), threads=threads)
+    assert np.all(grid.labels == DIVERGENT)
+
+
+def test_cell_centers_are_the_span_formula_bit_for_bit():
+    # lo + (i + 0.5)*(hi - lo)/n wherever that is finite: the recipe and
+    # benchmark ranges, the default range, and random finite ranges
+    rng = np.random.default_rng(27)
+    spans = [(-2.0, 2.0), (-2.5, 2.5), (-1.2, 1.2), (-0.5, 0.5),
+             (-6.0, 6.0), (-1e305, 1e305), (3e300, -4e300)]
+    spans += [tuple(rng.uniform(-5.0, 5.0, size=2)) for _ in range(50)]
+    spans += [tuple(rng.choice([-1.0, 1.0], size=2)
+                    * 10.0 ** rng.uniform(-300.0, 300.0, size=2))
+              for _ in range(50)]
+    for lo, hi in spans:
+        for n in (2, 3, 7, 100, 400):
+            old = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+            assert np.isfinite(old).all()
+            got = basins._cell_centers((lo, hi), n)
+            assert np.array_equal(got.view(np.int64), old.view(np.int64))
+
+
+@pytest.mark.parametrize("lo, hi, n", [(-1e308, 1e308, 4), (1e308, -1e308, 5),
+                                       (-1e308, 7e307, 400),
+                                       (-1.7976931348623157e308,
+                                        1.7976931348623157e308, 2)])
+def test_cell_centers_stay_finite_and_ordered_where_the_span_overflows(
+        lo, hi, n):
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(lo + (np.arange(n) + 0.5) * (hi - lo) / n).all()
+    c = basins._cell_centers((lo, hi), n)
+    assert np.isfinite(c).all()
+    assert np.all(np.diff(c) > 0) if lo < hi else np.all(np.diff(c) < 0)
+    assert min(lo, hi) < c.min() and c.max() < max(lo, hi)
 
 
 def test_minimal_two_by_two_grid():
@@ -278,10 +322,12 @@ def test_escape_dominates_at_minus_two(basin_grid_b2):
 # batch kernels against the plain loops they replace
 
 
-def _evolve_by_steps(X, Y, Z, b, n_steps, tail_n, R):
-    # the 3D step loop: every cell stepped through T n_steps times
+def _evolve_by_steps(X, Y, Z, b, n_steps, tail_n):
+    # the 3D step loop: every cell stepped through T n_steps times, every
+    # state tested against the ball, the start state included
     N = X.size
-    escaped = np.zeros(N, dtype=bool)
+    R = escape_radius(b)
+    escaped = (np.abs(X) > R) | (np.abs(Y) > R) | (np.abs(Z) > R)
     tail_n = min(tail_n, n_steps)
     tails = np.zeros((N, tail_n, 3))
     rec0 = n_steps - tail_n
@@ -335,17 +381,17 @@ def _start_batch(rng, R):
     return cols
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 7, 32])
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 4, 7, 32])
 def test_scalar_stream_evolve_is_bitwise_the_step_loop(n_steps):
     rng = np.random.default_rng(n_steps)
-    for b, R in [(-1.864, 4.0), (-1.864, 1.0), (-2.0, 4.0), (0.25, 1.5)]:
-        X, Y, Z = _start_batch(rng, R)
+    # R = 4 down to b = -12, then R = beta: 5 at b = -20, 6 at b = -30
+    for b in (-1.864, -2.0, 0.25, -20.0, -30.0):
+        X, Y, Z = _start_batch(rng, escape_radius(b))
         every = np.arange(X.size)
         some = np.sort(rng.permutation(X.size)[:40])
         for tail_n in (1, 2, n_steps, n_steps + 5):
-            esc, streams = basins._evolve(X, Y, Z, b, n_steps, tail_n, R)
-            esc_ref, tails_ref = _evolve_by_steps(X, Y, Z, b, n_steps,
-                                                  tail_n, R)
+            esc, streams = basins._evolve(X, Y, Z, b, n_steps, tail_n)
+            esc_ref, tails_ref = _evolve_by_steps(X, Y, Z, b, n_steps, tail_n)
             assert np.array_equal(esc, esc_ref)
             assert streams.samples == tails_ref.shape[1]
             for t in range(streams.samples):
@@ -370,7 +416,7 @@ class _TensorTails:
 
 def _point_attractor(id_, pt):
     return Attractor(id=id_, kind="fixed_point", period=1,
-                     signature=np.array([pt], dtype=float), b=0.0)
+                     signature=np.array([pt], dtype=float))
 
 
 def test_early_stop_matcher_edge_cases_match_the_full_query():
@@ -405,8 +451,7 @@ def test_early_stop_matcher_edge_cases_match_the_full_query():
 def test_early_stop_matcher_random_clouds_match_the_full_query():
     rng = np.random.default_rng(5)
     cats = tuple(Attractor(id=k, kind="chaotic", period=None,
-                           signature=c + rng.normal(0, 0.3, size=(200, 3)),
-                           b=0.0)
+                           signature=c + rng.normal(0, 0.3, size=(200, 3)))
                  for k, c in enumerate(([0, 0, 0], [0.4, 0.4, 0.4],
                                         [-0.5, 0.2, 0.1])))
     tails = rng.normal(0, 0.5, size=(500, 16, 3))

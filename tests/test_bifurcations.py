@@ -11,9 +11,12 @@ period-4 flip is the root near -1.368 of
 are bisected here in exact rational arithmetic.
 """
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mp_reference import polish_event, ulps
+from quadshift.cli import build_parser
 from quadshift import (Diverged, NoEventInBracket, Params, Point3,
                        bifurcation_diagram, distinct_sample_count,
                        event_residuals, find_cycles_1d, find_flip, find_fold,
@@ -156,6 +159,34 @@ def test_event_ordering_chain():
     ]
     assert bs == sorted(bs)
     assert bs[0] < -1.75 < -1.25 < -0.75 < 0.25 + 1e-9
+
+
+def _recipe_events():
+    """(kind, period, bracket) of every fold and flip line of the recipes."""
+    recipes = Path(__file__).resolve().parent.parent / "recipes" / "README.md"
+    parser = build_parser()
+    args = [parser.parse_args(line.split()[1:])
+            for line in recipes.read_text().splitlines()
+            if line.startswith("quadshift bifurcations ")]
+    return [(a.kind, a.period, a.bracket) for a in args
+            if a.kind != "transcritical"]
+
+
+def test_the_recipes_locate_six_folds_and_flips():
+    assert len(_recipe_events()) == 6
+
+
+@pytest.mark.parametrize("kind, period, bracket",
+                         _recipe_events() + [("flip", 5, (-1.99, -1.98))],
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_event_is_within_two_ulps_of_the_60_digit_event(kind, period,
+                                                        bracket):
+    # largest gaps measured: 1.44 ulp in b_star, 1.55 in x_star (flip 4)
+    ev = (find_fold if kind == "fold" else find_flip)(period, bracket)
+    x, b = polish_event(ev.x_star, ev.b_star, period,
+                        1 if kind == "fold" else -1)
+    assert ulps(ev.b_star, b) <= 2
+    assert ulps(ev.x_star, x) <= 2
 
 
 # ---------------------------------------------------------------------------
