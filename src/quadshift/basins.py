@@ -1,6 +1,9 @@
 """Attractor catalogs and basin classification over 2D slices.
 
-A catalog is built once from seed orbits: short-period limit sets are
+A catalog is built once from seed orbits, all seeds iterated at once on
+the batch engine `core._evolve`: a seed drops exactly where `orbit` would
+raise Diverged, and the states it records are read off the stream table,
+bit-equal to `orbit`'s.  Short-period limit sets are
 detected exactly by recurrence, everything else bounded is sampled into a
 point-cloud signature of consecutive states; a seed whose limit set lies
 within tolerance of an earlier one is dropped, by a Hausdorff test whose
@@ -19,6 +22,14 @@ cell's label is the best-matching attractor below the match tolerance
 (the first on ties), the divergence label on escape, or undecided --
 undecided cells get one retry with a larger budget before that sticks.
 
+T^3 sends u and -u to the same point: (-u)*(-u) == u*u in floats, and the
+escape test reads |s_j|.  From state 3 on every state is made of H-iterates
+of the start, so when the tail starts there or later (transient + max_iter
+>= TAIL_SAMPLES + 2; the retry's tail starts later still), cells whose
+coordinates differ only in sign have the same escape test, the same tail
+and the same label.  Such a batch is classified once per mirror class,
+the cells of equal (|x|, |y|, |z|) bit patterns, and each label copied.
+
 The same batch engine classifies single points, so a slice cell and a
 lone query at the same coordinates always agree.
 """
@@ -31,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Params, Point3, _evolve, orbit
-from .errors import Diverged, PaletteMissingLabel
+from .core import Params, Point3, _check_run, _evolve
+from .errors import PaletteMissingLabel
 
 DIVERGENT = -1
 UNDECIDED = -2
@@ -177,12 +188,33 @@ def _match_tails(streams, bounded, attractors, match_tol):
     return labels
 
 
+def _mirror_classes(X0, Y0, Z0):
+    """(rep, inv) of the cells grouped by the bit patterns of (|x|, |y|,
+    |z|): rep holds one cell of each group, and cell i is in the group of
+    rep[inv[i]].  Codes are paired two at a time, so no key overflows."""
+    mags = np.abs(np.concatenate((X0, Y0, Z0))).view(np.int64)
+    keys, codes = np.unique(mags, return_inverse=True)
+    cx, cy, cz = codes.reshape(3, -1)
+    _, cxy = np.unique(cx * keys.size + cy, return_inverse=True)
+    _, rep, inv = np.unique(cxy * keys.size + cz, return_index=True,
+                            return_inverse=True)
+    return rep, inv
+
+
 def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
     # NaN passes every escape test, and inf would be labelled divergent
     if not all(np.isfinite(C).all() for C in (X0, Y0, Z0)):
         raise ValueError("every start must be finite; a cell center or "
                          "start is NaN or infinite")
     n_steps = options.transient + options.max_iter
+    if n_steps - min(TAIL_SAMPLES, n_steps) + 1 >= 3:
+        # the escape test reads |s_j|, and s_j = H^m(start) with m >= 1
+        # from j = 3 on, where the tail (and the retry's later one) starts:
+        # cells whose coordinates differ only in sign get one label
+        rep, inv = _mirror_classes(X0, Y0, Z0)
+        X0, Y0, Z0 = X0[rep], Y0[rep], Z0[rep]
+    else:
+        inv = slice(None)
     escaped, streams = _evolve(X0, Y0, Z0, b, n_steps, TAIL_SAMPLES)
     labels = _match_tails(streams, ~escaped, attractors, options.match_tol)
     labels[escaped] = DIVERGENT
@@ -194,25 +226,21 @@ def _classify_batch(X0, Y0, Z0, b, attractors, options: BasinOptions):
         sub = _match_tails(streams2, ~esc2, attractors, options.match_tol)
         sub[esc2] = DIVERGENT
         labels[retry] = sub
-    return labels
+    return labels[inv]
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
 
-def _limit_set_of(seed: Point3, params: Params, options: BasinOptions):
-    """(kind, period, signature) of the seed's limit set, or None when a
-    state it records, or one before them, leaves the escape ball."""
-    try:
-        probe = np.array(orbit(
-            seed, params, max(CYCLE_SEARCH + 1, options.signature_samples),
-            options.transient))
-    except Diverged:
-        return None
-    for k in range(1, CYCLE_SEARCH + 1):
-        if np.abs(probe[k] - probe[0]).max() < CYCLE_TOL:
-            return ("fixed_point" if k == 1 else "cycle"), k, probe[:k]
+def _limit_set_of(probe, options: BasinOptions):
+    """(kind, period, signature) of a seed's limit set, read off its
+    recorded states: probe is (n, 3), n > CYCLE_SEARCH, consecutive."""
+    gap = np.abs(probe[1:CYCLE_SEARCH + 1] - probe[0]).max(axis=1)
+    closed = gap < CYCLE_TOL
+    if closed.any():
+        k = int(closed.argmax()) + 1
+        return ("fixed_point" if k == 1 else "cycle"), k, probe[:k]
     return "chaotic", None, probe[:options.signature_samples]
 
 
@@ -234,10 +262,18 @@ def build_catalog(params: Params, seeds=None,
         seeds = default_seeds()
     if not seeds:
         raise ValueError("need at least one seed")
-    found = []
+    n = max(CYCLE_SEARCH + 1, options.signature_samples)
     for seed in seeds:
-        res = _limit_set_of(seed, params, options)
-        if res is not None and not any(_same_limit_set(res, f) for f in found):
+        _check_run(seed, n, options.transient, "n")
+    # every seed at once: a seed drops where `orbit` would raise Diverged,
+    # and its states transient .. transient+n-1 are those `orbit` records
+    X, Y, Z = np.array(seeds, dtype=float).T
+    escaped, streams = _evolve(X, Y, Z, params.b, options.transient + n - 1, n)
+    at = options.transient + np.arange(n)[:, None] + np.arange(3)
+    found = []
+    for s in np.nonzero(~escaped)[0]:
+        res = _limit_set_of(streams.value(at, s), options)
+        if not any(_same_limit_set(res, f) for f in found):
             found.append(res)
     return [Attractor(id=i, kind=k, period=per, signature=sig)
             for i, (k, per, sig) in enumerate(found)]
@@ -272,7 +308,10 @@ def basin_slice(params: Params, spec: SliceSpec, catalog,
     iteration costs O((nu + nv + 1) * steps / 3), not O(nu * nv * steps);
     tail samples are gathered one at a time from those streams, and
     matching stops at each cell's first sample that cannot beat its best
-    attractor so far.
+    attractor so far.  Matching runs once per mirror class of cells (see
+    the module docstring): down to a quarter of the cells where the swept
+    ranges are symmetric about 0, and about 49% on the recipe slices, where
+    rounding leaves 70% of the centers on each axis a distinct magnitude.
     Output is independent of the thread count: rows are chunked, each chunk
     is pure, and the label matrix is assembled in canonical order."""
     if spec.nu < 2 or spec.nv < 2:

@@ -31,10 +31,12 @@ VERSION = "0.1.0"
 class _Parser(argparse.ArgumentParser):
     """Usage problems exit 1 (argparse's default is 2, which we reserve
     for computation errors).  The negative-number matcher is widened so
-    comma tuples like -1.8,-1.75 parse as values, not flags."""
+    comma tuples like -1.8,-1.75 parse as values, not flags.  A flag must
+    be spelled in full: a prefix such as `--trans` is a usage error, so a
+    flag later renamed to a longer name does not keep the old one alive."""
 
     def __init__(self, *a, **kw):
-        super().__init__(*a, **kw)
+        super().__init__(*a, allow_abbrev=False, **kw)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):

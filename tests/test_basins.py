@@ -5,6 +5,7 @@ and the grid engine must agree cell by cell (they share one batch kernel),
 and basin labels must be locally constant away from boundaries (basins of
 attracting sets are open).
 """
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,42 @@ def test_chaotic_signature_rows_are_consecutive_states():
     assert checked
 
 
+CATALOG_SEEDS = default_seeds() + (
+    Point3(0.0, 0.0, 2.0000000000001195),   # state 66 is out at b = -2
+    Point3(2.1, -0.3, 0.2),                 # out during the transient
+    Point3(5.0, 5.0, 5.0),                  # beta(-20), out elsewhere
+    Point3(-0.0, 0.0, -1.5))
+
+
+@pytest.mark.parametrize("samples", [5, 67, 4096])
+@pytest.mark.parametrize("transient", [0, 1, 2, 1000])
+def test_catalog_signatures_are_orbit_states_bit_for_bit(transient, samples):
+    # the catalog iterates its seeds on the batch engine; each signature
+    # must be the states `orbit` records, and a seed must drop exactly
+    # where `orbit` raises Diverged
+    options = BasinOptions(transient=transient, signature_samples=samples)
+    n = max(basins.CYCLE_SEARCH + 1, samples)
+    kept = dropped = 0
+    for b in (-0.4, -0.8, -1.864, -2.0, -20.0):
+        params = Params(b)
+        for seed in CATALOG_SEEDS:
+            cat = build_catalog(params, seeds=[seed], options=options)
+            try:
+                probe = np.array(orbit(seed, params, n, transient))
+            except Diverged:
+                assert cat == [], (b, seed)
+                dropped += 1
+                continue
+            kept += 1
+            [att] = cat
+            sig = att.signature
+            assert len(sig) == (samples if att.kind == "chaotic"
+                                else att.period)
+            assert np.array_equal(sig.view(np.int64),
+                                  probe[:len(sig)].view(np.int64)), (b, seed)
+    assert kept and dropped
+
+
 def test_classify_unmatched_is_undecided():
     # empty catalog: bounded orbits can never match and stay UNDECIDED
     params = Params(-0.4)
@@ -177,15 +214,24 @@ def _tiny_spec(n=12):
 
 
 def test_grid_agrees_with_pointwise_classification():
-    params = Params(-0.4)
-    cat = build_catalog(params)
+    # a batch of one is its own mirror class, so every cell of a slice
+    # whose centers pair up by sign checks the grouping against the
+    # ungrouped engine; b = -1.864 puts three labels on the slice
     spec = _tiny_spec()
-    grid = basin_slice(params, spec, cat)
-    assert grid.labels.shape == (spec.nv, spec.nu)
-    # sampled cells incl. the main diagonal (same engine, must be identical)
-    for i, j in [(0, 0), (3, 7), (7, 3), (5, 5), (11, 11), (2, 9)]:
-        p = spec.cell_point(i, j)
-        assert grid.labels[j, i] == classify_point(p, params, cat)
+    X, Y = np.meshgrid(spec.u_centers(), spec.v_centers())
+    rep, _ = basins._mirror_classes(X.ravel(), Y.ravel(),
+                                    np.full(X.size, spec.fixed_value))
+    assert rep.size == 81 < X.size      # 9 magnitudes of 12 centers per axis
+    for b, options in ((-0.4, BasinOptions()), (-1.864, BASIN_CHECK_OPTIONS)):
+        params = Params(b)
+        cat = build_catalog(params, options=options)
+        grid = basin_slice(params, spec, cat, options)
+        assert grid.labels.shape == (spec.nv, spec.nu)
+        for j in range(spec.nv):
+            for i in range(spec.nu):
+                p = spec.cell_point(i, j)
+                assert grid.labels[j, i] == classify_point(
+                    p, params, cat, options), (b, i, j)
 
 
 def test_grid_threading_is_invisible():
@@ -400,6 +446,64 @@ def test_scalar_stream_evolve_is_bitwise_the_step_loop(n_steps):
                     assert got.shape == (cells.size, 3)
                     assert np.array_equal(got.view(np.int64),
                                           tails_ref[cells, t].view(np.int64))
+
+
+@pytest.mark.parametrize("n_steps", [3, 4, 7, 18, 32])
+def test_mirror_cells_share_escape_and_tail_from_state_three(n_steps):
+    # (-u)*(-u) == u*u in floats and the escape test reads |s_j|, so from
+    # state 3 on a cell and its sign flips are bit-equal: the premise of
+    # classifying one cell per mirror class
+    rng = np.random.default_rng(100 + n_steps)
+    for b in (-1.864, -2.0, 0.25, -20.0):
+        X, Y, Z = _start_batch(rng, escape_radius(b))
+        every = np.arange(X.size)
+        for tail_n in (1, 2, 16, n_steps):
+            if n_steps - min(tail_n, n_steps) + 1 < 3:
+                continue
+            esc, streams = basins._evolve(X, Y, Z, b, n_steps, tail_n)
+            for sx, sy, sz in itertools.product((1.0, -1.0), repeat=3):
+                esc_f, streams_f = basins._evolve(sx * X, sy * Y, sz * Z, b,
+                                                  n_steps, tail_n)
+                assert np.array_equal(esc, esc_f)
+                for t in range(streams.samples):
+                    assert np.array_equal(
+                        streams.sample(every, t).view(np.int64),
+                        streams_f.sample(every, t).view(np.int64))
+
+
+def test_mirror_classes_group_by_magnitude_bits():
+    rng = np.random.default_rng(8)
+    X, Y, Z = _start_batch(rng, 4.0)
+    rep, inv = basins._mirror_classes(X, Y, Z)
+    mags = np.abs(np.stack((X, Y, Z), axis=1)).view(np.int64)
+    same = (mags[:, None] == mags[None, :]).all(axis=2)
+    assert np.array_equal(same, inv[:, None] == inv[None, :])
+    assert np.array_equal(inv[rep], np.arange(rep.size))
+    assert rep.size < X.size            # signed zeros and ties pair up
+
+
+@pytest.mark.parametrize("max_iter, first", [(2, 1), (17, 2), (18, 3)])
+def test_a_tail_before_state_three_keeps_mirror_cells_apart(max_iter, first):
+    # state k reads s_k, s_{k+1}, s_{k+2}, and s_r is coordinate r of the
+    # start: a tail from state `first` < 3 sees the sign of coordinates
+    # first .. 2.  The catalog is the tail of the all-positive cell, so a
+    # flip of a coordinate it sees leaves that cell undecided
+    params = Params(-2.0)
+    options = BasinOptions(max_iter=max_iter, transient=0, match_tol=1e-9)
+    p = np.array([[0.1], [0.2], [0.3]])
+    _, streams = basins._evolve(*p, params.b, max_iter, basins.TAIL_SAMPLES)
+    assert streams.first == first
+    sig = np.concatenate([streams.sample(np.array([0]), t)
+                          for t in range(streams.samples)])
+    cat = (Attractor(id=0, kind="chaotic", period=None, signature=sig),)
+    flips = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    X, Y, Z = flips.T * p
+    labels = basins._classify_batch(X, Y, Z, params.b, cat, options)
+    seen = (flips[:, first:] < 0).any(axis=1)
+    assert np.array_equal(labels, np.where(seen, UNDECIDED, 0))
+    for k in range(len(flips)):
+        assert labels[k] == classify_point(Point3(X[k], Y[k], Z[k]), params,
+                                           cat, options)
 
 
 class _TensorTails:

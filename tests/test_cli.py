@@ -68,6 +68,15 @@ def test_malformed_triple_is_usage_error():
     assert r.returncode == 1
 
 
+def test_an_abbreviated_flag_is_usage_error():
+    # `--trans` is a prefix of `--transient` only; it must not stand for it
+    r = run("orbit", "--b", "-1", "--x0", "0.1,0.2,0.3", "--n", "3",
+            "--trans", "2")
+    assert r.returncode == 1
+    assert "unrecognized arguments: --trans 2" in r.stderr
+    assert r.stdout == ""
+
+
 def test_divergent_orbit_is_computation_error():
     r = run("orbit", "--b", "1.0", "--x0", "9,9,9", "--n", "10")
     assert r.returncode == 2
