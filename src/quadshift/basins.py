@@ -6,9 +6,10 @@ raise Diverged, and the states it records are read off the stream table,
 bit-equal to `orbit`'s.  Short-period limit sets are
 detected exactly by recurrence, everything else bounded is sampled into a
 point-cloud signature of consecutive states; a seed whose limit set lies
-within tolerance of an earlier one is dropped, by a Hausdorff test whose
-queries are bounded by the tolerance and which stops at the first
-direction with a point out of it.  Grid cells are then iterated as three
+within tolerance of an earlier one is dropped, by a Hausdorff test on one
+k-d tree per limit set whose queries are bounded by the tolerance and run
+in chunks of HAUSDORFF_CHUNK points, stopping at the first chunk with a
+point out of it.  Grid cells are then iterated as three
 scalar streams on the batch engine `core._evolve`: every distinct start
 value of the batch is iterated once under H(u) = u^2 + b, and each
 cell's escape test is read off its three streams, bit-equal to stepping
@@ -55,6 +56,7 @@ CYCLE_SEARCH = 64    # recurrence horizon for exact cycle detection
 RETRY_FACTOR = 4     # undecided cells rerun transient + this * max_iter steps
 TAIL_SAMPLES = 16    # post-transient states per cell matched against the catalog
 MERGE_TOL = 0.3      # symmetric Hausdorff estimate for chaotic catalog dedup
+HAUSDORFF_CHUNK = 256  # points per bounded query of the catalog's dedup test
 
 
 @dataclass(frozen=True)
@@ -244,14 +246,17 @@ def _limit_set_of(probe, options: BasinOptions):
     return "chaotic", None, probe[:options.signature_samples]
 
 
-def _within_hausdorff(A, B, tol):
+def _within_hausdorff(ta, tb, tol):
     """Whether the symmetric sup-metric Hausdorff distance of the point sets
-    A and B is below tol.  Each direction is a query bounded by tol, and the
-    test stops at the first direction with a point tol or more away."""
-    for P, Q in ((A, B), (B, A)):
-        d, _ = cKDTree(Q).query(P, k=1, p=np.inf, distance_upper_bound=tol)
-        if not np.all(d < tol):
-            return False
+    of the k-d trees ta and tb is below tol.  Each direction queries its
+    points in chunks of HAUSDORFF_CHUNK, bounded by tol, and the test stops
+    at the first chunk with a point tol or more away."""
+    for P, tree in ((ta.data, tb), (tb.data, ta)):
+        for lo in range(0, len(P), HAUSDORFF_CHUNK):
+            d, _ = tree.query(P[lo:lo + HAUSDORFF_CHUNK], k=1, p=np.inf,
+                              distance_upper_bound=tol)
+            if not np.all(d < tol):
+                return False
     return True
 
 
@@ -270,22 +275,23 @@ def build_catalog(params: Params, seeds=None,
     X, Y, Z = np.array(seeds, dtype=float).T
     escaped, streams = _evolve(X, Y, Z, params.b, options.transient + n - 1, n)
     at = options.transient + np.arange(n)[:, None] + np.arange(3)
-    found = []
+    found = []      # (kind, period, signature, k-d tree of the signature)
     for s in np.nonzero(~escaped)[0]:
-        res = _limit_set_of(streams.value(at, s), options)
+        kind, period, sig = _limit_set_of(streams.value(at, s), options)
+        res = kind, period, sig, cKDTree(sig)
         if not any(_same_limit_set(res, f) for f in found):
             found.append(res)
     return [Attractor(id=i, kind=k, period=per, signature=sig)
-            for i, (k, per, sig) in enumerate(found)]
+            for i, (k, per, sig, _) in enumerate(found)]
 
 
 def _same_limit_set(a, b):
     # distinct cycles are disjoint point sets, so set distance is the right
     # test; sorting coordinates is not (one-ulp noise reshuffles the order)
-    (kind, period, sig), (okind, operiod, osig) = a, b
+    (kind, period, _, tree), (okind, operiod, _, otree) = a, b
     if "chaotic" in (kind, okind):
-        return kind == okind and _within_hausdorff(sig, osig, MERGE_TOL)
-    return period == operiod and _within_hausdorff(sig, osig, 1e-6)
+        return kind == okind and _within_hausdorff(tree, otree, MERGE_TOL)
+    return period == operiod and _within_hausdorff(tree, otree, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ it is located as the flip of its period-n/2 parent, whose multiplier
 crosses -1 at the same b.
 
 An orbit diagram iterates one start at every parameter of a sweep, all
-parameters at once on the batch engine `core._evolve`, and reads each
-one's post-transient x-samples off the scalar streams it keeps.
+parameters at once on the batch engine `core._evolve`, and gathers every
+parameter's post-transient x-samples off the scalar streams it keeps in
+one read, into one read-only float64 array of 8 bytes a sample.
 """
 from __future__ import annotations
 
@@ -37,10 +38,13 @@ class BifurcationEvent:
     x_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagramRow:
+    """One parameter of an orbit diagram.  `samples` is a read-only view of
+    the diagram's one (steps, samples) float64 array, so rows compare and
+    hash by identity; compare `samples.tolist()` for values."""
     b: float
-    samples: tuple | None   # None when the orbit diverged
+    samples: np.ndarray | None   # read-only float64; None when it diverged
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,12 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
     parameters carry samples=None instead of killing the sweep.
 
     All parameters are iterated at once, as the scalar streams of the
-    distinct (start value, b) pairs.  A row drops out as soon as its state
-    leaves its escape ball, the test `orbit` applies, so every row holds
-    exactly the x-samples `orbit(p0, Params(b), samples, transient)` records.
+    distinct (start value, b) pairs, and every row's samples are gathered
+    off those streams in one read, into one read-only (steps, samples)
+    float64 array.  A row drops out as soon as its state leaves its escape
+    ball, the test `orbit` applies; every other row's `samples` is a view
+    of its row of that array, bit for bit the x-samples
+    `orbit(p0, Params(b), samples, transient)` records.
     One step (steps=1) samples a single parameter, b_lo == b_hi.
     """
     b_lo, b_hi = b_range
@@ -186,9 +193,10 @@ def bifurcation_diagram(b_range, steps, p0=Point3(0.0, -0.5, 0.0),
     escaped, streams = _evolve(
         np.full(steps, p0.x), np.full(steps, p0.y), np.full(steps, p0.z),
         np.array(bs), transient + samples - 1, samples)
-    j = transient + np.arange(samples)
-    rows = tuple(DiagramRow(b=bv, samples=None if out
-                            else tuple(streams.value(j, i).tolist()))
+    xs = streams.value(transient + np.arange(samples),
+                       np.arange(steps)[:, None])
+    xs.flags.writeable = False
+    rows = tuple(DiagramRow(b=bv, samples=None if out else xs[i])
                  for i, (bv, out) in enumerate(zip(bs, escaped.tolist())))
     return DiagramDataset(rows=rows)
 

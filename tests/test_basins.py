@@ -585,7 +585,45 @@ def test_bounded_hausdorff_test_matches_the_full_query():
             h = _hausdorff_sup_by_full_query(P, Q)
             for tol in (0.0, h, np.nextafter(h, np.inf), 0.05, 0.3, 5.0,
                         np.inf):
-                assert basins._within_hausdorff(P, Q, tol) == (h < tol)
+                assert basins._within_hausdorff(cKDTree(P), cKDTree(Q),
+                                                tol) == (h < tol)
+
+
+def _within_hausdorff_by_distance_matrix(A, B, tol):
+    # both directions in full: every sup-distance of every pair of points
+    d = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+    return max(d.min(axis=1).max(), d.min(axis=0).max()) < tol
+
+
+def test_chunked_hausdorff_test_matches_both_full_directions():
+    # sizes off the chunk grid, far points in late chunks of either
+    # direction, near duplicates, and a point exactly at the tolerance
+    c = basins.HAUSDORFF_CHUNK
+    rng = np.random.default_rng(11)
+    A = np.round(rng.uniform(-2, 2, size=(2 * c + 37, 3)) * 2 ** 20) / 2 ** 20
+    tol = 2.0 ** -10
+    at_tol = A.copy()
+    at_tol[2 * c + 5, 1] += tol         # exact: A is on a 2**-20 grid
+    far_late = np.vstack([A, [[3.0, 0.0, 0.0]]])
+    cases = [
+        (A, A[::-1].copy(), True),
+        (A, A + rng.uniform(-1e-7, 1e-7, size=A.shape), True),
+        (A, at_tol, False),
+        (at_tol, A, False),
+        (A, far_late, False),
+        (far_late, A, False),
+        (A[:c + 1], A, False),          # A has points far from A[:c + 1]
+        (A, A[:c + 1], False),
+        (A[:c + 1], A[:c + 1] + 1e-7, True),
+        (rng.normal(0, 0.5, size=(c - 3, 3)),
+         rng.normal(0, 0.5, size=(3 * c + 1, 3)), None),
+    ]
+    for P, Q, want in cases:
+        if want is not None:
+            assert _within_hausdorff_by_distance_matrix(P, Q, tol) == want
+        for t in (tol, 1e-6, 0.3, 1.0):
+            assert basins._within_hausdorff(cKDTree(P), cKDTree(Q), t) == \
+                _within_hausdorff_by_distance_matrix(P, Q, t)
 
 
 @pytest.mark.parametrize("fixed_axis", ["x", "y", "z"])

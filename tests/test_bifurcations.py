@@ -10,9 +10,11 @@ period-4 flip is the root near -1.368 of
 4096b^6 + 12288b^5 + 12032b^4 + 12032b^3 + 8432b^2 + 4913.  Both roots
 are bisected here in exact rational arithmetic.
 """
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mp_reference import polish_event, ulps
@@ -278,16 +280,50 @@ def test_diagram_rows_are_the_orbit_samples():
             except Diverged:
                 want = None
             kinds.add(want is None)
-            assert row.samples == want
-            if want is not None:
-                assert [v.hex() for v in row.samples] == \
+            if want is None:
+                assert row.samples is None
+            else:
+                assert row.samples.tolist() == list(want)
+                assert [v.hex() for v in row.samples.tolist()] == \
                     [v.hex() for v in want]
         assert kinds == {True, False}
 
 
 def test_diagram_holds_the_fixed_point_beyond_radius_four():
     d = bifurcation_diagram((-20.0, -20.0), 1, p0=Point3(5.0, 5.0, 5.0))
-    assert d.rows[0].samples == (5.0,) * 200
+    assert d.rows[0].samples.tolist() == [5.0] * 200
+
+
+def test_diagram_rows_are_read_only_views_of_one_array():
+    d = bifurcation_diagram((-2.5, 0.5), 31, samples=40)
+    kept = [r.samples for r in d.rows if r.samples is not None]
+    assert 0 < len(kept) < len(d.rows)
+    base = kept[0].base
+    assert base is not None and base.dtype == np.float64
+    assert base.shape == (31, 40)
+    for xs in kept:
+        assert xs.base is base and xs.dtype == np.float64
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+    # rows hold arrays, so they compare and hash by identity
+    row = d.rows[0]
+    assert row == row and row != d.rows[1]
+    assert hash(row) == hash(row)
+
+
+def test_diagram_holds_eight_bytes_a_sample():
+    # 800 x 200 samples are 1.28 MB as float64, and 5 MB as tuples of
+    # Python floats
+    sweep = dict(b_range=(-1.99, -0.3), steps=800, p0=Point3(0, -0.5, 0))
+    bifurcation_diagram(**sweep)
+    tracemalloc.start()
+    try:
+        d = bifurcation_diagram(**sweep)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(r.samples is not None for r in d.rows) > 700
+    assert held <= 2_000_000, held
 
 
 def test_diagram_divergent_row():

@@ -341,11 +341,19 @@ def test_events_and_planes_csv_match_reference(evs, pls):
 @given(st.lists(st.tuples(values, st.none() | st.lists(values, **small)),
                 **small))
 def test_diagram_csv_matches_reference(rows):
-    # None rows are divergent parameters; [] is a row with no samples
-    ds = DiagramDataset(
-        rows=tuple(DiagramRow(b=b, samples=None if xs is None else tuple(xs))
-                   for b, xs in rows))
-    assert diagram_csv(ds) == _ref_diagram_csv(ds)
+    # None rows are divergent parameters; [] is a row with no samples.
+    # Rows are tuples of numbers, or read-only float64 arrays as
+    # `bifurcation_diagram` gives them
+    def frozen(xs):
+        a = np.array(xs, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+
+    for cast in (tuple, frozen):
+        ds = DiagramDataset(
+            rows=tuple(DiagramRow(b=b, samples=None if xs is None else cast(xs))
+                       for b, xs in rows))
+        assert diagram_csv(ds) == _ref_diagram_csv(ds)
 
 
 @settings(max_examples=200, deadline=None)
