@@ -7,7 +7,7 @@ diagonal cocycle products and closed-form critical planes possible; the
 modules here exploit that structure throughout.
 """
 from .core import (ESCAPE_RADIUS, Params, Point3, apply_T, escape_radius, h1d,
-                   h1d_n, jacobian_T, orbit, search_interval)
+                   h1d_n, jacobian_T, orbit)
 from .errors import (Diverged, LiftValidationFailed, NoEventInBracket,
                      NoRealFixedPoints, Overflow, PaletteMissingLabel,
                      PeriodDivisibleBy3, ToolkitError)

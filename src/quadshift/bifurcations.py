@@ -5,10 +5,10 @@ where x lies on a minimal period-n cycle whose multiplier (H^n)'(x) is +1
 or -1: two regular equations in the two unknowns.  Both locators solve
 them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) in (x, b),
 with the derivatives `core._jet` carries, started from the cycles
-`find_cycles_1d` finds at the bracket ends, each end over its own
-`search_interval(b)`.  A start counts only if it lands inside the bracket
-with the target multiplier on a root that closes a minimal period-n cycle
-by the finder's rule, `cycles._closes_minimally`.  A cycle born with
+`find_cycles_1d` finds at the bracket ends.  A start counts only if it
+lands inside the bracket with the target multiplier on a root whose orbit
+is a minimal period-n cycle by the finder's rule (`cycles._step_gaps`,
+`cycles._repeat`).  A cycle born with
 count step 1 is a doubling birth, where the tangency system is singular;
 it is located as the flip of its period-n/2 parent, whose multiplier
 crosses -1 at the same b.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, Point3, _check_run, _evolve, _jet
-from .cycles import (_closes_minimally, _orbit_1d, _sorted_multiplier,
+from .cycles import (_orbit_1d, _repeat, _sorted_multiplier, _step_gaps,
                      find_cycles_1d)
 from .errors import NoEventInBracket
 
@@ -83,11 +83,12 @@ def _first_event(kind, n, starts, target, b_bracket):
     lo, hi = b_bracket
     for cy, b0 in sorted(starts, key=lambda s: abs(s[0].multiplier - target)):
         x, b = _event_polish(cy.points[0], b0, n, target)
-        orb = _orbit_1d(x, b, n + 1)
-        if (lo <= b <= hi and _closes_minimally(orb)
-                and abs(_sorted_multiplier(orb[:n]) - target) <= 1e-7):
+        orb = _orbit_1d(x, b, n)
+        xs = np.array(orb)
+        if (lo <= b <= hi and _step_gaps(xs, b)[1].all() and not _repeat(xs)
+                and abs(_sorted_multiplier(orb) - target) <= 1e-7):
             return BifurcationEvent(kind=kind, period=n, b_star=b,
-                                    x_star=min(orb[:n]))
+                                    x_star=min(orb))
     return None
 
 
@@ -100,8 +101,7 @@ def _cycles_at_ends(n, b_bracket):
 
 def find_flip(n, b_bracket) -> BifurcationEvent:
     """Parameter where a period-n multiplier crosses -1 inside the bracket;
-    every cycle found at either end, over that end's search interval, is a
-    start for the polish."""
+    every cycle found at either end is a start for the polish."""
     ends = _cycles_at_ends(n, b_bracket)
     starts = [(cy, b) for b, cycles in zip(b_bracket, ends) for cy in cycles]
     ev = _first_event("flip", n, starts, -1.0, b_bracket)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcations, basins, critical, cycles, serialize
-from .core import Params, Point3, orbit, search_interval
+from .core import Params, Point3, orbit
 from .errors import ToolkitError
 from .lyapunov import lyapunov_spectrum
 
@@ -136,9 +136,7 @@ def _cmd_fixed_points(args):
 
 
 def _cmd_cycles_1d(args):
-    cfg = {"subcommand": "cycles-1d", "b": args.b, "period": args.period,
-           "interval": list(search_interval(args.b)),
-           "grid_points": cycles.GRID_POINTS}
+    cfg = {"subcommand": "cycles-1d", "b": args.b, "period": args.period}
     _echo(cfg)
     found = cycles.find_cycles_1d(Params(args.b), args.period)
     _deliver(serialize.cycles1d_csv(found), args.out)
@@ -170,8 +168,7 @@ def _cmd_lift(args):
 
 
 def _cmd_census(args):
-    cfg = {"subcommand": "census", "b": args.b, "period": args.period,
-           "interval": list(search_interval(args.b))}
+    cfg = {"subcommand": "census", "b": args.b, "period": args.period}
     _echo(cfg)
     found = cycles.census(Params(args.b), args.period)
     homog = sum(1 for c in found
@@ -390,8 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = cmd("cycles-1d", _cmd_cycles_1d,
-            "periodic points of the scalar kick map (CSV), searched over "
-            "[-w, w] with w = max(2.5, beta(b)), beta the larger fixed point")
+            "periodic points of the scalar kick map (CSV), one search per "
+            "lap of H^n over [-beta, beta], beta the larger fixed point")
     p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--out")

@@ -12,8 +12,8 @@ every Newton solve in `cycles` and `bifurcations`.
 
 Past the larger scalar fixed point beta = (1 + sqrt(1 - 4b))/2 a
 coordinate grows without bound, so every loop tests every sample, the
-start's included, against `escape_radius(b)`, which it reads from b; the
-scalar cycle search covers `search_interval(b)`, which holds [-beta, beta].
+start's included, against `escape_radius(b)`, which it reads from b; every
+bounded scalar orbit lies in [-beta, beta].
 """
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ from .errors import Diverged, Overflow
 # |x| > R grows monotonically under x -> x^2 + b iff R >= beta(b), and
 # beta(b) <= 4 exactly for b >= -12; outputs keep this radius there.
 ESCAPE_RADIUS = 4.0
-
-# the cycle search interval's half-width until beta(b) passes it at b = -3.75
-SEARCH_HALF_WIDTH = 2.5
 
 
 @dataclass(frozen=True)
@@ -49,31 +46,14 @@ class Point3(NamedTuple):
     z: float
 
 
-def _cover_beta(r: float, b: float) -> float:
-    """max(r, beta(b)), or r for b > 1/4, where there is no fixed point.
-
-    beta is the larger fixed point bit for bit as floats give it (0.5 +
-    sqrt(0.25 - b) equals 0.5 + 0.5*sqrt(1 - 4b), and never overflows), so
-    the float fixed point is covered even when rounding puts it above the
-    exact beta.
-    """
-    if b > 0.25:
-        return r
-    return max(r, 0.5 + math.sqrt(0.25 - b))
-
-
 def escape_radius(b: float) -> float:
     """The escape radius at parameter b: max(ESCAPE_RADIUS, beta(b)), so
-    (beta, beta, beta) lies inside the ball."""
-    return _cover_beta(ESCAPE_RADIUS, b)
-
-
-def search_interval(b: float) -> tuple:
-    """The scalar cycle search interval at parameter b: (-w, w) with
-    w = max(SEARCH_HALF_WIDTH, beta(b)), so it holds [-beta, beta], where
-    every bounded scalar orbit lies."""
-    w = _cover_beta(SEARCH_HALF_WIDTH, b)
-    return -w, w
+    (beta, beta, beta) lies inside the ball, or ESCAPE_RADIUS for b > 1/4.
+    beta is the float fixed point 0.5 + sqrt(0.25 - b), which never
+    overflows and is covered even where it rounds above the exact beta."""
+    if b > 0.25:
+        return ESCAPE_RADIUS
+    return max(ESCAPE_RADIUS, 0.5 + math.sqrt(0.25 - b))
 
 
 def h1d(x: float, params: Params) -> float:

@@ -21,17 +21,17 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, lcm, sqrt
+from math import copysign, frexp, inf, lcm, ldexp, sqrt
 
 import numpy as np
 
-from .core import Params, Point3, _iterates, _jet, h1d_n, search_interval
+from .core import Params, Point3, _iterates, _jet
 from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
 CLOSURE_TOL = 1e-10     # a source point x maps within this * max(1, x^2) of the next
 ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
-GRID_POINTS = 20001     # sign-change grid over the search interval
+MAX_PERIOD = 20         # the largest period find_cycles_1d enumerates
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,17 @@ def _orbit_1d(x, b, n):
 
 
 def _sorted_multiplier(points) -> float:
-    m = 1.0
+    """The product of 2x over the points in sorted order, rescaled by an
+    exact power of 2 after each factor: the plain sorted product bit for
+    bit wherever that neither overflows nor underflows."""
+    m, e = 1.0, 0
     for x in sorted(points):
-        m *= 2.0 * x
-    return m
+        m, k = frexp(m * (2.0 * x))
+        e += k
+    try:
+        return ldexp(m, e)
+    except OverflowError:
+        return copysign(inf, m)
 
 
 def cycle1d_from_orbit(b, points) -> Cycle1D:
@@ -108,75 +115,6 @@ def _rotate_min_first(orb):
 
 def _proper_divisors(n):
     return [d for d in range(1, n) if n % d == 0]
-
-
-def _closes_minimally(orb):
-    """Whether x = orb[0] closes a cycle of minimal period n, where orb is
-    x, H(x), ..., H^n(x): |H^n(x) - x| <= 1e-10, and |H^d(x) - x| >= 1e-8
-    at every proper divisor d of n.  Entry by entry for an array x."""
-    x, n = orb[0], len(orb) - 1
-    keep = abs(orb[n] - x) <= 1e-10
-    for d in _proper_divisors(n):
-        keep &= abs(orb[d] - x) >= 1e-8
-    return keep
-
-
-def _residual_1d(x, params, n):
-    return h1d_n(x, params, n) - x
-
-
-def _refine_tangent(x, params, n):
-    # Newton on (H^n)'(x) - 1 = 0.  Near a double root the residual itself
-    # is noise-floor quadratic, so plain Newton leaves ~1e-8 scatter and the
-    # same tangent orbit survives dedup several times; the derivative
-    # condition crosses zero transversally and pins the point to full
-    # precision.
-    for _ in range(40):
-        _, dx, _, dxx, _ = _jet(x, params.b, n)
-        if dxx == 0.0:
-            break
-        step = (dx - 1.0) / dxx
-        x -= step
-        if abs(step) < 1e-15:
-            break
-    return x
-
-
-def _newton_1d_array(x, params, n, iters=60):
-    # Newton on H^n(x) - x at every entry of x at once, for at most iters
-    # rounds; an entry stops where (H^n)'(x) = 1, or once |H^n(x) - x| <
-    # 5e-14 and its step is below 1e-13
-    x = np.array(x, dtype=float)
-    live = np.arange(x.size)
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        xl = x[live]
-        v, d = _jet(xl, params.b, n)[:2]
-        fv = v - xl
-        dfv = d - 1.0
-        moving = dfv != 0.0
-        live, xl, fv, dfv = live[moving], xl[moving], fv[moving], dfv[moving]
-        step = fv / dfv
-        xn = xl - step
-        x[live] = xn
-        done = (np.abs(fv) < 5e-14) & (np.abs(step) < 1e-13)
-        # a step depends on x alone, so an entry it leaves bit-equal is final
-        done |= xn.view(np.int64) == xl.view(np.int64)
-        live = live[~done]
-    return x
-
-
-def _bisect_brackets(a, c, fa, params, n):
-    # 40 halvings of every bracket [a, c] at once; fa is H^n(a) - a
-    for _ in range(40):
-        mid = 0.5 * (a + c)
-        fm = _residual_1d(mid, params, n)
-        left = fa * fm <= 0
-        c = np.where(left, mid, c)
-        a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
-    return 0.5 * (a + c)
 
 
 def _sup_gap(p, q):
@@ -206,59 +144,104 @@ def _first_distinct(keys):
     return kept
 
 
-def find_cycles_1d(params: Params, n: int) -> list:
-    """All minimal-period-n orbits of the scalar map.
+def _bisect(f, lo, hi):
+    """Per entry, where f turns from + at lo to - at hi: lo if f(lo) <= 0,
+    hi if f(hi) >= 0, else the bracket bisected to adjacent floats, of
+    which the one with the smaller |f|."""
+    flo, fhi = f(lo), f(hi)
+    x = np.where(flo <= 0.0, lo, hi)
+    live = np.flatnonzero((flo > 0.0) & (fhi < 0.0))
+    lo, hi, flo, fhi = lo[live], hi[live], flo[live], fhi[live]
+    while live.size:
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        x[live[done]] = np.where(flo <= -fhi, lo, hi)[done]
+        live, lo, hi, flo, fhi, mid = (a[~done] for a in (live, lo, hi, flo, fhi, mid))
+        fm = f(mid)
+        right = fm > 0.0
+        lo, flo = np.where(right, mid, lo), np.where(right, fm, flo)
+        hi, fhi = np.where(right, hi, mid), np.where(right, fhi, fm)
+    return x
 
-    The search covers `search_interval(b)`, which holds every bounded
-    scalar orbit.  Sign changes of H^n(x) - x on a uniform grid of
-    GRID_POINTS points are bisected, all brackets at once, then polished by
-    one array Newton on the jet of H^n; local minima of |H^n(x) - x| below
-    1e-3 seed one Newton run each, refined on (H^n)'(x) = 1, so tangent
-    roots at folds are not silently missed.  In-range roots that close a
-    minimal period-n cycle (`_closes_minimally`) are kept.  Orbits are
-    deduplicated on sorted points, comparing only orbits whose smallest
-    points fall in a window around each other (the first root found wins).
+
+def _pullback(y, words, b, n):
+    """x_{n-1}, ..., x_0 back from x_n = y along each word: x_k = s_k
+    sqrt(x_{k+1} - b), s_k the sign of bit k, and 0 from below b."""
+    for k in reversed(range(n)):
+        r = np.sqrt(np.maximum(y - b, 0.0))
+        y = np.where((words >> k) & 1 == 1, r, 0.0 - r)     # +0.0 at 0
+        yield y
+
+
+@np.errstate(over="ignore", invalid="ignore")     # jets overflow at huge |b|
+def find_cycles_1d(params: Params, n: int) -> list:
+    """All minimal-period-n orbits of the scalar map, smallest point first.
+
+    Period 1 is `fixed_point_cycles_1d`.  Above it, a cycle point x_0 is a
+    root of H^n(x) = x on the lap of its word (bit k the sign of x_k):
+    [-beta, beta] pulled back along the word, its end at beta widened by 2
+    ulps unless the pullback put a point at 0.  One word per rotation class
+    is taken, the non-primitive ones too: a cycle born by period doubling
+    keeps its parent's doubled word up to its superstable b.  H has
+    negative Schwarzian derivative, so (H^n)' has no positive local minimum
+    on a lap, and where it is 1 on either side of its maximum cuts a rising
+    lap into three pieces on which H^n(x) - x is monotone; each piece is
+    bisected where it changes sign.  A cut point is a fold's double root if
+    b is within about 2^-50 of the fold, |H^n(x) - x| <= 2^-50 |d/db H^n|,
+    and a lap end is a root if H^n(x) = x exactly.  The other points are
+    pulled back, x_k = s_k sqrt(x_{k+1} - b), or on an attracting cycle are
+    forward iterates.  A cycle is kept if it is a valid lift source
+    (`_step_gaps`, `_repeat`), once.  The 2^n words are held at once: n = 18
+    takes about 0.5 s and 40 MB, n = 20 about 2.5 s and 140 MB, so n is at
+    most MAX_PERIOD.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
+    if n > MAX_PERIOD:
+        raise ValueError(f"period {n} is above MAX_PERIOD = {MAX_PERIOD}, "
+                         "the largest the lap enumeration holds")
     b = params.b
-    lo, hi = search_interval(b)
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    # points beyond beta escape to +-inf, where H^n(x) - x keeps its sign; a
-    # Newton run that escapes ends in NaN, which the range test below drops
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = h1d_n(xs, params, n) - xs
-        sgn = np.sign(f)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        mids = _bisect_brackets(xs[flips], xs[flips + 1], f[flips], params, n)
-        # polished bisection roots, then exact-zero grid hits
-        roots = [_newton_1d_array(mids, params, n), xs[sgn == 0]]
-        # tangency candidates: interior local minima of |f| with no sign change
-        af = np.abs(f)
-        inner = af[1:-1]
-        tangent = (inner < 1e-3) & (inner <= af[:-2]) & (inner <= af[2:]) \
-            & (sgn[:-2] == sgn[1:-1]) & (sgn[1:-1] == sgn[2:])
-        for i in np.nonzero(tangent)[0] + 1:
-            x = float(_newton_1d_array(xs[i:i + 1], params, n, iters=100)[0])
-            if abs(_residual_1d(x, params, n)) < 1e-10:
-                x2 = _refine_tangent(x, params, n)
-                if abs(x2 - x) <= 1e-4 and \
-                        abs(_residual_1d(x2, params, n)) < 1e-10:
-                    x = x2
-                roots.append([x])
-    roots = np.concatenate(roots)
-
-    # keep converged, in-range, minimal-period roots; row k of orbs is the
-    # orbit of the k-th root, column j its j-th image
-    x = roots[(lo - 1e-9 <= roots) & (roots <= hi + 1e-9)]
-    orb = _orbit_1d(x, b, n + 1)
-    orbs = np.stack(orb[:n], axis=1)[_closes_minimally(orb)]
-
-    # group roots into orbits, dedup on sorted points
+    if b > 0.25:
+        return []
+    if n == 1:
+        return sorted(set(fixed_point_cycles_1d(params)), key=lambda c: c.points)
+    codes = rot = least = np.arange(1 << n)
+    for _ in range(n - 1):
+        rot = (rot >> 1) | ((rot & 1) << (n - 1))
+        least = np.minimum(least, rot)
+    codes = codes[least == codes]           # the smallest of each rotation class
+    beta = np.full(codes.size, 0.5 + sqrt(0.25 - b))
+    put_at_0 = np.zeros(codes.size, dtype=bool)
+    for top, bottom in _pullback(np.stack([beta, -beta]), codes, b, n):
+        put_at_0 |= top == 0.0
+    rising = top > bottom                   # H^n rises: the end at beta is hi
+    away = np.where(put_at_0, top, np.where(rising, inf, -inf))
+    top = np.nextafter(np.nextafter(top, away), away)
+    lo, hi = np.minimum(top, bottom), np.maximum(top, bottom)
+    peak = _bisect(lambda x: _jet(x, b, n)[3], lo, hi)
+    # (H^n)' - 1 falls from the peak to either end of the lap
+    s1, s2 = np.split(_bisect(lambda x: _jet(x, b, n)[1] - 1.0, np.tile(peak, 2),
+                              np.concatenate([lo, hi])), 2)
+    P = np.stack([lo, np.where(rising, s1, lo), np.where(rising, s2, lo), hi], axis=1)
+    v, _, vb = _jet(P, b, n)[:3]
+    G = v - P       # H^n(x) - x
+    fold = rising[:, None] & (np.abs(G) <= 2.0 ** -50 * np.abs(vb)) & [False, True, True, False]
+    zero = (G == 0.0) | fold
+    G[zero] = 0.0
+    # H^n(x) - x falls on [P0, P1] and [P2, P3] and rises on [P1, P2]:
+    # each piece from its positive end to its negative one
+    pos, neg = [0, 2, 2], [1, 1, 3]
+    cut = (G[:, pos] > 0.0) & (G[:, neg] < 0.0)
+    x0 = np.concatenate([P[zero], _bisect(lambda x: _jet(x, b, n)[0] - x,
+                                          P[:, pos][cut], P[:, neg][cut])])
+    words = np.concatenate([np.repeat(codes, 4)[zero.ravel()], np.repeat(codes, 3)[cut.ravel()]])
+    orbs = np.stack([x0, *list(_pullback(x0, words, b, n))[-2::-1]], axis=1)
+    attracting = np.abs(_jet(x0, b, n)[1]) < 1.0
+    orbs[attracting] = np.stack(_orbit_1d(x0[attracting], b, n), axis=1)
+    orbs = orbs[_step_gaps(orbs, b)[1].all(axis=1) & (_repeat(orbs) == 0)]
     keys = np.sort(orbs, axis=1).tolist()
     distinct = sorted(_first_distinct(keys), key=lambda i: keys[i][0])
-    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist()))
-            for i in distinct]
+    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist())) for i in distinct]
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +289,50 @@ def cycle3d_key(pts):
     return tuple(sorted(pts))
 
 
+def _step_gaps(xs, b):
+    """|x_k^2 + b - x_{k+1}| at each point of the cycles xs (orbit order
+    along the last axis), and whether it is at most CLOSURE_TOL * max(1,
+    x_k^2): the closure rule of the finder and the lifts.  A NaN gap
+    fails, and so does a square that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = xs * xs
+        gap = np.abs(sq + b - np.roll(xs, -1, axis=-1))
+        return gap, (gap <= CLOSURE_TOL * np.maximum(1.0, sq)) & (sq < inf)
+
+
+def _repeat(xs):
+    """Per cycle of xs, the smallest proper divisor d of its length with
+    |x_d - x_0| < 1e-9, or 0 where there is none."""
+    rep = np.zeros(xs.shape[:-1], dtype=int)
+    for d in reversed(_proper_divisors(xs.shape[-1])):
+        rep = np.where(np.abs(xs[..., d] - xs[..., 0]) < 1e-9, d, rep)
+    return rep
+
+
+@lru_cache(maxsize=256)
+def _source_fault(b, pts):
+    """Why the points pts, in orbit order, are not a minimal-period cycle
+    of the scalar map at b, or "" if they are; cached, as a census checks
+    a source again in every lift that uses it."""
+    xs = np.array(pts, dtype=float)
+    gap, closes = _step_gaps(xs, b)
+    if not closes.all():
+        k = int(np.argmin(closes))
+        return f": point {k} maps {gap[k]:.3g} away from the next"
+    if d := int(_repeat(xs)):
+        return f" has period {d}, not the stated {len(pts)}"
+    return ""
+
+
 def _check_source(X: Cycle1D):
     """Raise LiftValidationFailed unless X is a cycle of minimal period
     X.period of the scalar map at its parameter X.b."""
-    pts, n, b = X.points, X.period, X.b
     label = cycle1d_label(X)
-    if len(pts) != n:
+    if len(X.points) != X.period:
         raise LiftValidationFailed(
-            f"source {label} lists {len(pts)} points for period {n}")
-    for k, x in enumerate(pts):
-        gap = abs(x * x + b - pts[(k + 1) % n])
-        # a NaN gap fails, and so does a point whose square overflows
-        if not gap <= CLOSURE_TOL * max(1.0, x * x) < inf:
-            raise LiftValidationFailed(
-                f"source {label}: point {k} maps {gap:.3g} away from the next")
-    for d in _proper_divisors(n):
-        if abs(pts[d] - pts[0]) < 1e-9:
-            raise LiftValidationFailed(
-                f"source {label} has period {d}, not the stated {n}")
+            f"source {label} lists {len(X.points)} points for period {X.period}")
+    if fault := _source_fault(X.b, tuple(X.points)):
+        raise LiftValidationFailed(f"source {label}{fault}")
 
 
 @lru_cache(maxsize=64)

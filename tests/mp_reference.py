@@ -47,6 +47,19 @@ def polish_event(x, b, n, target, rounds=30):
         return x, b
 
 
+def polish_cycle_point(x, b, n, rounds=12):
+    """The root of H^n(x) = x nearest the float point x: Newton at DIGITS
+    digits in x, for b read as its exact float value.  Returns mpf x*."""
+    with mpmath.workdps(DIGITS):
+        x, b = mpmath.mpf(x), mpmath.mpf(b)
+        for _ in range(rounds):
+            v, dvx, *_ = _jet(x, b, n)
+            x -= (v - x) / (dvx - 1)
+        v, *_ = _jet(x, b, n)
+        assert abs(v - x) < mpmath.mpf(10) ** (-DIGITS + 10)
+        return x
+
+
 def ulps(value, ref):
     """|value - ref| in units in the last place of the float value."""
     with mpmath.workdps(DIGITS):

@@ -161,13 +161,12 @@ def test_census_period_six():
 
 
 def test_census_searches_out_to_beta():
-    # beta(-4) = 2.56: the search interval, echoed in the config, holds
-    # both fixed points
+    # beta(-4) = 2.56, past the old fixed half-width 2.5: both fixed
+    # points are found
     r = run("census", "--b", "-4", "--period", "1")
     assert r.returncode == 0, r.stderr
     pay = json.loads(r.stdout)
-    beta = 0.5 + math.sqrt(4.25)
-    assert pay["config"]["interval"] == [-beta, beta]
+    assert pay["config"] == {"subcommand": "census", "b": -4.0, "period": 1}
     assert pay["counts"]["total"] == 2
 
 
@@ -190,6 +189,18 @@ def test_census_rejects_a_period_below_one(tmp_path, capsys, period):
                  "--out", str(out)]) == 1
     assert "period must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, above", [("cycles-1d", 1), ("census", 2)])
+def test_a_period_above_the_largest_is_a_usage_error(cmd, above, capsys):
+    # census lifts scalar cycles of the period itself when 3 does not
+    # divide it, so MAX_PERIOD + 2 (which 3 does not divide) reaches them
+    from quadshift.cycles import MAX_PERIOD
+    n = MAX_PERIOD + above
+    assert main([cmd, "--b", "-2", "--period", str(n)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"quadshift: error: period {n} is above MAX_PERIOD = {MAX_PERIOD}, "
+        "the largest the lap enumeration holds")
 
 
 def test_census_past_the_scalar_wrap():
@@ -496,7 +507,8 @@ def test_diagram_to_file_and_to_stdout_are_the_same_bytes(tmp_path):
 # Identical command lines give byte-identical files, release after release:
 # SHA-256 of each output: the first three pinned from the per-value writers
 # these outputs were first written with, the rest from the lift and census
-# enumeration that preceded `cycles.mixed_lifts`.
+# enumeration that preceded `cycles.mixed_lifts`; the census, lift and
+# scalar-cycle outputs re-pinned when the lap finder replaced the grid one.
 PINNED = [
     ("diagram",
      ("diagram", "--b-min", "-1.99", "--b-max", "-0.3", "--steps", "800",
@@ -506,8 +518,8 @@ PINNED = [
                      "f9daebfc4e4122cf6d55777448fa54f8"}),
     ("census",
      ("census", "--b", "-2", "--period", "11", "--out", "census.json"),
-     {"census.json": "2df55d1c48a5765f9ed90bbd47070d8c"
-                     "d135e019939c16373a5856e6ef7371a8"}),
+     {"census.json": "4fb2bcfc6835e3662743fc42ea586acd"
+                     "120d972a3d20cd90fb0f9e54f859a1d9"}),
     ("basin",
      ("basin", "--b", "-1.864", "--slice", "z=0.5", "--u-range", "-2,2",
       "--v-range", "-2,2", "--res", "20,20", "--signature-samples", "4096",
@@ -520,22 +532,22 @@ PINNED = [
                    "ad5a26044969eda528897f220576aae2"}),
     ("lift_pairs", ("lift", "--b", "-1", "--periods", "1,2",
                     "--out", "lift_pairs.json"),
-     {"lift_pairs.json": "4708962ff3571803cdc2f3ecb70132b3"
-                         "41ddca8333ed806078c3840994f0135f"}),
+     {"lift_pairs.json": "6d14ecc35139ec4d73bb9977268aed2a"
+                         "abe72242267bfae1c155b78d8200e0e5"}),
     ("lift_3n", ("lift", "--b", "-1", "--periods", "2", "--times3",
                  "--out", "lift_3n.json"),
      {"lift_3n.json": "e9dfbd8db5ab4bcbbc6bc4c621c63a20"
                       "db02276331dc75d1be5ec4de494f2b4c"}),
     ("census6", ("census", "--b", "-1", "--period", "6",
                  "--out", "census6.json"),
-     {"census6.json": "0225a0765614f874d79fbe8ef880187b"
-                      "e240fd387204eabc72a4692f8179aa6d"}),
+     {"census6.json": "73a72bfd7f6bcc6edad32c43bba54593"
+                      "bd8b899cbaa139d52a12e6d7b30c1381"}),
     # 3n lifts of the 4-cycle, mixed pairs over (1, 4) and (2, 4), mixed
     # triples over (1, 1, 4) and (1, 2, 4)
     ("census12", ("census", "--b", "-1.3", "--period", "12",
                   "--out", "census12.json"),
-     {"census12.json": "3caf0e811d7320abfe9028f92f6652a8"
-                       "1d60254091fe5fc520141b0e37240f5c"}),
+     {"census12.json": "87bd0cf263884690a399790d7bf955ac"
+                       "07606c4b97cd661b731836e5b1a74be4"}),
     ("fixed_points", ("fixed-points", "--b", "-1.3",
                       "--out", "fixed_points.json"),
      {"fixed_points.json": "566fb48a2a6ee91399eea749944013e9"
@@ -554,8 +566,8 @@ PINNED = [
     # pinned while the finder and the locators had their own closure tests
     ("cycles3_b176", ("cycles-1d", "--b", "-1.76", "--period", "3",
                       "--out", "cycles3_b176.csv"),
-     {"cycles3_b176.csv": "4e37ea9f36836907248575093b88d9ff"
-                          "784a12ef713cd7ad7f29eaad70f2daa8"}),
+     {"cycles3_b176.csv": "a07226a98f48987bd86be385647d09dd"
+                          "32b7c83786a26733e88980e0e650d3fb"}),
     ("fold1", ("bifurcations", "--kind", "fold", "--period", "1",
                "--bracket", "0.2,0.3", "--out", "fold1.csv"),
      {"fold1.csv": "a76a4d3dc0e4e31421d6c85f0d8e187f"
@@ -588,16 +600,16 @@ PINNED = [
     # through lift_mixed_triple, pinned while each lift built its points
     ("census18_b19", ("census", "--b", "-1.9", "--period", "18",
                       "--out", "census18_b19.json"),
-     {"census18_b19.json": "f5c56c7839ff132316875b3f03ab81db"
-                           "06e03ad5fea3db3832fcf3ab1e951bde"}),
+     {"census18_b19.json": "62514863fac19d7e5d82f9af947d0ffd"
+                           "32e0559220a4d588f8a2e3d70efb7cf3"}),
     ("census15_b2", ("census", "--b", "-2", "--period", "15",
                      "--out", "census15_b2.json"),
-     {"census15_b2.json": "2c0a6e4ac13ae6fbd905e57e1bcd3e05"
-                          "300df45a519447f57f2232d803e9cd14"}),
+     {"census15_b2.json": "b8b64a2397b14e1142b23e27f9ab9395"
+                          "99081ca2f3a23c3813d5e89636aaa9ca"}),
     ("lift_triple", ("lift", "--b", "-1.3", "--periods", "1,1,4",
                      "--out", "lift_triple.json"),
-     {"lift_triple.json": "5bb5cfddec0bd589d304d4cc85c079b6"
-                          "88d38d5c503a51795f376d4f2f42c1ab"}),
+     {"lift_triple.json": "22be0776b669929704536d5c7accb682"
+                          "c71f5aaad8704fe5fb251887aee46aac"}),
 ]
 
 

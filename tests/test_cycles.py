@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_reference import polish_cycle_point
 
 from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
                        classify_stability, cycle1d_label, find_cycles_1d,
@@ -12,10 +14,10 @@ from quadshift import (Cycle1D, NoRealFixedPoints, Params, Point3, census,
                        fixed_point_cycles_1d, fixed_points_T, jacobian_T,
                        lift_homogeneous, lift_homogeneous_3n, lift_mixed_pair,
                        lift_mixed_triple, stability_block_length)
-from quadshift.cycles import (ORBIT_DEDUP_TOL, STABILITY_TOL,
-                              _bisect_brackets, _closes_minimally,
-                              _first_distinct, _newton_1d_array, _orbit_1d,
-                              _residual_1d)
+from quadshift.core import _jet
+from quadshift.cycles import (MAX_PERIOD, ORBIT_DEDUP_TOL, STABILITY_TOL,
+                              _bisect, _first_distinct, _orbit_1d, _pullback,
+                              _repeat, _sorted_multiplier, _step_gaps)
 
 
 def two_cycle_points(b):
@@ -29,7 +31,7 @@ def test_fixed_points_closed_form():
     assert c_minus.points == (0.0,)
     assert c_plus.multiplier == 2.0
     assert c_minus.multiplier == 0.0
-    # the grid finder meets x = 1/2 +- sqrt(1 - 4b)/2 with multiplier 2x
+    # the finder meets x = 1/2 +- sqrt(1 - 4b)/2 with multiplier 2x
     for b in np.linspace(-0.7, 0.2, 10):
         found = find_cycles_1d(Params(float(b)), 1)
         disc = math.sqrt(1.0 - 4.0 * b)
@@ -101,32 +103,34 @@ def test_minimal_period_filter_drops_fixed_points():
         assert len(set(c.points)) == 2
 
 
-def _minimal_verdicts(xs, b, n):
-    return _closes_minimally(_orbit_1d(xs, b, n + 1))
+def _source_verdicts(orbs, b):
+    # the finder's and the lifts' rule, per cycle along the last axis
+    orbs = np.asarray(orbs)
+    return _step_gaps(orbs, b)[1].all(axis=-1) & (_repeat(orbs) == 0)
 
 
 def test_closure_rule_on_floats_equals_the_array_rule():
-    # the 4-cycle's points at b = -1.3, the period-2 and fixed-point roots
-    # of H^4(x) = x, and copies of all eight moved off by a little
+    # the 4-cycle at b = -1.3, the fixed points and the 2-cycle listed as
+    # 4-cycles, and copies of the 4-cycle with its last point moved a little
     b = -1.3
-    roots = [x for d in (1, 2, 4) for c in find_cycles_1d(Params(b), d)
-             for x in c.points]
-    xs = roots + [x + e for e in (1e-11, -3e-11, 1e-9, -1e-6) for x in roots]
-    verdicts = _minimal_verdicts(np.array(xs), b, 4).tolist()
-    assert verdicts == [_minimal_verdicts(x, b, 4) for x in xs]
-    assert verdicts[:8] == [False] * 4 + [True] * 4
-    assert verdicts[8:16] == [False] * 4 + [True] * 4
-    assert not any(verdicts[24:])
+    (c4,) = find_cycles_1d(Params(b), 4)
+    lower = [c.points * (4 // d) for d in (1, 2)
+             for c in find_cycles_1d(Params(b), d)]
+    moved = [c4.points[:3] + (c4.points[3] + e,)
+             for e in (1e-11, -3e-11, 1e-9, -1e-6)]
+    cycles = [c4.points, *lower, *moved]
+    verdicts = _source_verdicts(cycles, b).tolist()
+    assert verdicts == [bool(_source_verdicts(c, b)) for c in cycles]
+    assert verdicts == [True, False, False, False, True, True, False, False]
 
 
 @pytest.mark.parametrize("b", [-2.3, -2.0, -1.76, -1.3, -0.5])
 def test_every_found_cycle_passes_the_closure_rule(b):
-    # the finder keeps one root per orbit and lists its forward images,
-    # whose closure error can grow up to |2x| per step, so at least one
-    # point of each cycle passes
+    # every point maps within CLOSURE_TOL * max(1, x^2) of the next, and
+    # no proper divisor of the period repeats: the rule of a lift source
     for n in range(1, 11):
         for c in find_cycles_1d(Params(b), n):
-            assert _minimal_verdicts(np.array(c.points), b, n).any()
+            assert _source_verdicts(c.points, b)
 
 
 @pytest.mark.parametrize("locate, n, bracket", [
@@ -136,7 +140,8 @@ def test_every_found_cycle_passes_the_closure_rule(b):
     (lambda n, bracket: find_transcritical(bracket), 1, (0.2, 0.3))])
 def test_every_recipe_event_passes_the_closure_rule(locate, n, bracket):
     ev = locate(n, bracket)
-    assert _minimal_verdicts(ev.x_star, ev.b_star, ev.period) is True
+    assert _source_verdicts(_orbit_1d(ev.x_star, ev.b_star, ev.period),
+                            ev.b_star)
 
 
 def test_cycle1d_points_are_min_first():
@@ -237,23 +242,32 @@ def test_tangent_cycle_is_found_at_the_fold_itself():
 
 
 # ---------------------------------------------------------------------------
-# the scalar cycles of the Chebyshev map b = -2, and the finder's kernels
+# complete and exact scalar cycles: closed forms at b = -2, counts, 60-digit
+# roots and multipliers
+
+
+def _mobius(d):
+    sign, k, p = 1, d, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
+def _minimal_orbits(fixed, n):
+    # orbits of minimal period n, Moebius-inverted from fixed[d], the
+    # number of points that H^d fixes, at every divisor d of n
+    return sum(_mobius(n // d) * fixed[d]
+               for d in range(1, n + 1) if n % d == 0) // n
 
 
 def _necklace(n):
-    # minimal-period-n orbits of a map with 2^n points of period n:
-    # (1/n) sum over d | n of mu(d) 2^(n/d)
-    def mu(d):
-        sign, k, p = 1, d, 2
-        while p * p <= k:
-            if k % p == 0:
-                k //= p
-                if k % p == 0:
-                    return 0
-                sign = -sign
-            p += 1
-        return -sign if k > 1 else sign
-    return sum(mu(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    # minimal-period-n orbits of a map with 2^n points of period n
+    return _minimal_orbits({d: 2 ** d for d in range(1, n + 1)}, n)
 
 
 def _chebyshev_gaps(found, n):
@@ -270,10 +284,7 @@ def _chebyshev_gaps(found, n):
         np.where(left, i - 1, i)
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), pytest.param(
-    13, marks=pytest.mark.xfail(strict=True, reason=(
-        "known defect: the 20001-point grid cannot separate the 2^13 roots "
-        "and finds 629 of the 630 cycles")))])
+@pytest.mark.parametrize("n", range(1, 14))
 def test_every_cycle_at_minus_two_is_found_at_its_closed_form(n):
     found = find_cycles_1d(Params(-2.0), n)
     assert len(found) == _necklace(n)
@@ -285,17 +296,109 @@ def test_every_cycle_at_minus_two_is_found_at_its_closed_form(n):
     assert len(set(nearest.tolist())) == gap.size
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: only one root per orbit is polished and the other points "
-    "are its forward iterates, whose error grows by up to |2x| = 4 a step; "
-    "at n = 12 they sit up to 2.8e-11 from the closed form"))
 def test_every_cycle_point_at_minus_two_is_exact_to_1e_12():
-    gap, _ = _chebyshev_gaps(find_cycles_1d(Params(-2.0), 12), 12)
-    assert gap.max() < 1e-12
+    # every point is pulled back along its word, so no point is a forward
+    # iterate of another; measured: 5.4e-14 at n = 12, 1.7e-13 at n = 13
+    for n in range(1, 14):
+        gap, _ = _chebyshev_gaps(find_cycles_1d(Params(-2.0), n), n)
+        assert gap.max() < 1e-12, n
+
+
+@pytest.mark.parametrize("b", [-2.0, -2.1, -2.3])
+def test_every_cycle_is_found_below_minus_two(b):
+    # for b <= -2 every one of the 2^n points of period n is real, one on
+    # the lap of each word
+    params = Params(b)
+    assert [len(find_cycles_1d(params, n)) for n in range(1, 17)] == \
+        [_necklace(n) for n in range(1, 17)]
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_census_lifts_every_cycle_at_minus_two_point_one(p):
+    # 3 does not divide p, so each scalar p-cycle lifts to one 3D orbit,
+    # and every one the finder returns is a valid lift source
+    assert len(census(Params(-2.1), p)) == _necklace(p)
+
+
+def test_a_period_above_the_largest_raises_before_any_search():
+    # the finder holds 2^n codes; above MAX_PERIOD it refuses at once
+    with pytest.raises(ValueError, match=f"period {MAX_PERIOD + 1} is above"):
+        find_cycles_1d(Params(-2.0), MAX_PERIOD + 1)
+
+
+def _plain_sorted_product(points):
+    m = 1.0
+    for x in sorted(points):
+        m *= 2.0 * x
+    return m
+
+
+@pytest.mark.parametrize("b", [0.2, -0.5, -1.0, -1.3, -1.76, -1.9, -2.0,
+                               -2.1, -2.3])
+def test_multipliers_are_the_plain_sorted_product_bit_for_bit(b):
+    # the rescaled product equals the plain one wherever that stays finite
+    for n in range(1, 13):
+        for c in find_cycles_1d(Params(b), n):
+            assert c.multiplier.hex() == _plain_sorted_product(c.points).hex()
+
+
+def test_a_multiplier_stays_finite_where_the_sorted_product_overflows():
+    # the 600 factors -3.8 come first in sorted order and overflow, though
+    # the product with the 200 factors 0.02 is about 1.2e8
+    pts = [-1.9] * 600 + [0.01] * 200
+    assert _plain_sorted_product(pts) == math.inf
+    exact = mpmath.mpf(-3.8) ** 600 * mpmath.mpf(0.02) ** 200
+    assert float(abs(_sorted_multiplier(pts) / exact - 1)) < 1e-12
+    assert _sorted_multiplier([3.0] * 1000) == math.inf
+    assert _sorted_multiplier([-3.0] * 1001) == -math.inf
+
+
+@pytest.mark.parametrize("b", [-1.3, -1.76, -1.9, -2.1, -2.3])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_sampled_cycle_points_are_within_1e_12_of_their_60_digit_roots(b, n):
+    # up to 24 points per (b, n), spread over the cycles; each is polished
+    # at 60 digits from itself to the root of H^n(x) = x it approximates.
+    # At b = -1.3 the 4-cycle has not yet doubled: no 8- or 12-cycles
+    pts = [x for c in find_cycles_1d(Params(b), n) for x in c.points]
+    assert pts or (b == -1.3 and n > 4)
+    for x in pts[::max(1, len(pts) // 24)]:
+        assert abs(mpmath.mpf(x) - polish_cycle_point(x, b, n)) < 1e-12
+
+
+def _grid_fixed_points(b, n_max, sizes=(2 ** 18, 2 ** 20 + 1)):
+    """The real solutions of H^k(x) = x for k = 1 .. n_max, counted as sign
+    changes of H^k(x) - x on two uniform grids over [-beta, beta], padded;
+    None for a k where the grids disagree."""
+    beta = 0.5 + math.sqrt(0.25 - b)
+    counts = []
+    for size in sizes:
+        u = np.linspace(-beta - 1e-3, beta + 1e-3, size)
+        x, row = u, []
+        for _ in range(n_max):
+            x = x * x + b
+            neg = np.signbit(x - u)
+            row.append(int(np.count_nonzero(neg[1:] != neg[:-1])))
+        counts.append(row)
+    return {k + 1: c if c == d else None
+            for k, (c, d) in enumerate(zip(*counts))}
+
+
+# b in [-1.99, 0.2], each away from the folds and flips of periods <= 10
+GRID_ORACLE_BS = [0.2, 0.1, -0.3, -0.6, -0.9, -1.1, -1.2, -1.33, -1.45, -1.55,
+                  -1.6, -1.65, -1.7, -1.78, -1.82, -1.85, -1.88, -1.92, -1.95,
+                  -1.98]
+
+
+@pytest.mark.parametrize("b", GRID_ORACLE_BS)
+def test_cycle_counts_match_an_independent_grid_count(b):
+    fixed = _grid_fixed_points(b, 10)
+    assert None not in fixed.values(), fixed
+    for n in range(1, 11):
+        assert len(find_cycles_1d(Params(b), n)) == _minimal_orbits(fixed, n), n
 
 
 def test_grid_escape_raises_no_warning():
-    # grid points beyond beta overflow to +inf on the way to H^12
+    # every lap lies in [-beta, beta], so no evaluation of H^12 overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = find_cycles_1d(Params(-2.0), 12)
@@ -304,8 +407,8 @@ def test_grid_escape_raises_no_warning():
 
 @pytest.mark.parametrize("b, n", [(-2.1, 18), (-2.3, 16), (-2.3, 18), (-1.9, 18)])
 def test_bisection_and_polish_raise_no_overflow_warning(b, n):
-    # bracket ends and Newton runs past beta overflow to +-inf on the way
-    # to H^n; the sign of H^n(x) - x is still right there
+    # a lap end widened past beta stays within a few ulps of it, and the
+    # jets of H^n stay finite at every bisection point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = find_cycles_1d(Params(b), n)
@@ -325,59 +428,57 @@ def test_cycles_outside_two_and_a_half_are_found(b):
     assert fixed == sorted(fixed_points_T(params), key=lambda c: c.points[0].x)
 
 
-def _scalar_bisection(a, c, fa, params, n):
+def _scalar_bisect(f, lo, hi):
     # the per-bracket loop the array bisection replaces
-    for _ in range(40):
-        mid = 0.5 * (a + c)
-        fm = _residual_1d(mid, params, n)
-        if fa * fm <= 0:
-            c = mid
+    flo, fhi = f(lo), f(hi)
+    if not (flo > 0.0 and fhi < 0.0):
+        return lo if flo <= 0.0 else hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if flo <= -fhi else hi
+        fm = f(mid)
+        if fm > 0.0:
+            lo, flo = mid, fm
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + c)
+            hi, fhi = mid, fm
 
 
-def _scalar_newton(x, params, n, iters=60):
-    # one root at a time on Python floats, with the derivative of H^n
-    # carried as the product of 2*v; the array Newton must stop each entry
-    # where this loop does
-    b = params.b
-    for _ in range(iters):
-        v = x
-        d = 1.0
-        for _ in range(n):
-            d = 2.0 * v * d
-            v = v * v + b
-        fv = v - x
-        dfv = d - 1.0
-        if dfv == 0.0:
-            break
-        step = fv / dfv
-        x -= step
-        if abs(fv) < 5e-14 and abs(step) < 1e-13:
-            break
-    return x
+def _scalar_pullback(y, word, b, n):
+    # x_0 back from x_n = y along one word, one square root at a time
+    for k in reversed(range(n)):
+        r = math.sqrt(max(y - b, 0.0))
+        y = r if (word >> k) & 1 else 0.0 - r
+    return y
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
 
 
 @pytest.mark.parametrize("b, n", [(-2.0, 7), (-2.0, 10), (-1.75, 3), (-1.75, 9)])
 def test_array_kernels_match_the_scalar_loops_bitwise(b, n):
-    params = Params(b)
-    xs = np.linspace(-2.5, 2.5, 20001)
-    with np.errstate(over="ignore"):
-        f = _residual_1d(xs, params, n)
-    sgn = np.sign(f)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    mids = _bisect_brackets(xs[flips], xs[flips + 1], f[flips], params, n)
-    ref_mids = [_scalar_bisection(float(xs[i]), float(xs[i + 1]), float(f[i]),
-                                  params, n) for i in flips]
-    assert [float(m).hex() for m in mids] == [m.hex() for m in ref_mids]
-    # wild starts too: every 97th grid point, escaping ones included
-    starts = np.concatenate([mids, xs[::97]])
-    for iters in (60, 100):
+    # the laps of one word per rotation class, as the finder takes them
+    codes = [c for c in range(1 << n)
+             if all(c <= ((c >> k) | (c << (n - k))) & ((1 << n) - 1)
+                    for k in range(n))]
+    beta = 0.5 + math.sqrt(0.25 - b)
+    ends = [list(_pullback(np.full(len(codes), y), np.array(codes), b, n))[-1]
+            for y in (beta, -beta)]
+    for y, got in zip((beta, -beta), ends):
+        assert _hex(got) == _hex(_scalar_pullback(y, c, b, n) for c in codes)
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    # wild brackets too: adjacent points of a grid past beta, where the
+    # jets overflow to inf and nan
+    grid = np.linspace(-2.5, 2.5, 20001)[::97]
+    lo, hi = np.concatenate([lo, grid[:-1]]), np.concatenate([hi, grid[1:]])
+    # the finder's three: (H^n)'', (H^n)' - 1 and H^n(x) - x, either sign
+    for f in (lambda x: _jet(x, b, n)[3], lambda x: _jet(x, b, n)[1] - 1.0,
+              lambda x: _jet(x, b, n)[0] - x, lambda x: x - _jet(x, b, n)[0]):
         with np.errstate(all="ignore"):
-            polished = _newton_1d_array(starts, params, n, iters=iters)
-        ref = [_scalar_newton(float(x), params, n, iters) for x in starts]
-        assert [float(x).hex() for x in polished] == [x.hex() for x in ref]
+            got = _bisect(f, lo, hi)
+        assert _hex(got) == _hex(_scalar_bisect(f, float(x), float(z))
+                                 for x, z in zip(lo, hi))
 
 
 def _reference_first_distinct(keys):
