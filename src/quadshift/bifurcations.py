@@ -7,8 +7,8 @@ them with one 2D Newton on (H^n(x) - x, (H^n)'(x) - target) in (x, b),
 with the derivatives `core._jet` carries, started from the cycles
 `find_cycles_1d` finds at the bracket ends.  A start counts only if it
 lands inside the bracket with the target multiplier on a root whose orbit
-is a minimal period-n cycle by the finder's rule (`cycles._step_gaps`,
-`cycles._repeat`).  A cycle born with
+is a minimal period-n cycle by the lift sources' rule (`cycles._step_gaps`,
+`cycles._repeat`), as forward iterates carry no word.  A cycle born with
 count step 1 is a doubling birth, where the tangency system is singular;
 it is located as the flip of its period-n/2 parent, whose multiplier
 crosses -1 at the same b.

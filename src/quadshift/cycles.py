@@ -1,5 +1,8 @@
 """Periodic orbits: scalar cycles and loom lifts to 3D.
 
+A scalar n-cycle is a root of H^n(x) = x on the lap of its word, the
+signs of its points, which tells cycles apart and gives their period.
+
 A cycle of the scalar map x -> x^2 + b can be placed into the 3D map in
 several ways: one orbit per scalar cycle when the period is not a multiple
 of 3 ("homogeneous" lifts), a family of period-3n orbits built from one
@@ -17,7 +20,6 @@ the mixed lifts of all distinct cycles with those periods.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +32,7 @@ from .errors import LiftValidationFailed, NoRealFixedPoints, PeriodDivisibleBy3
 
 STABILITY_TOL = 1e-9    # |lambda| this close to 1 -> nonhyperbolic
 CLOSURE_TOL = 1e-10     # a source point x maps within this * max(1, x^2) of the next
-ORBIT_DEDUP_TOL = 1e-9  # scalar orbits whose sorted points are this close are one
+ORBIT_DEDUP_TOL = 1e-9  # lift sources whose sorted points are this close are one
 MAX_PERIOD = 20         # the largest period find_cycles_1d enumerates
 
 
@@ -121,29 +123,6 @@ def _sup_gap(p, q):
     return max(abs(a - c) for a, c in zip(p, q))
 
 
-def _first_distinct(keys):
-    """Indices of the keys within ORBIT_DEDUP_TOL (sup norm) of no earlier
-    kept key.
-
-    Each key is an ascending sequence, so two keys that close have first
-    entries that close.  Only kept keys whose first entry lies within twice
-    the tolerance are compared; the margin keeps the rounding of the window
-    ends from dropping a pair.  The first key of each match wins.
-    """
-    tol = ORBIT_DEDUP_TOL
-    mins, ids, kept = [], [], []
-    for i, key in enumerate(keys):
-        m = key[0]
-        window = ids[bisect_left(mins, m - 2 * tol):bisect_right(mins, m + 2 * tol)]
-        if any(_sup_gap(key, keys[j]) < tol for j in window):
-            continue
-        pos = bisect_right(mins, m)
-        mins.insert(pos, m)
-        ids.insert(pos, i)
-        kept.append(i)
-    return kept
-
-
 def _bisect(f, lo, hi):
     """Per entry, where f turns from + at lo to - at hi: lo if f(lo) <= 0,
     hi if f(hi) >= 0, else the bracket bisected to adjacent floats, of
@@ -190,10 +169,16 @@ def find_cycles_1d(params: Params, n: int) -> list:
     b is within about 2^-50 of the fold, |H^n(x) - x| <= 2^-50 |d/db H^n|,
     and a lap end is a root if H^n(x) = x exactly.  The other points are
     pulled back, x_k = s_k sqrt(x_{k+1} - b), or on an attracting cycle are
-    forward iterates.  A cycle is kept if it is a valid lift source
-    (`_step_gaps`, `_repeat`), once.  The 2^n words are held at once: n = 18
-    takes about 0.5 s and 40 MB, n = 20 about 2.5 s and 140 MB, so n is at
-    most MAX_PERIOD.
+    forward iterates.  A root is kept if every point maps close to the next
+    (`_step_gaps`).  Its word, the cycle's itinerary, decides the rest with
+    no tolerance: a cycle lies on one lap, and on the lap of a primitive
+    word it has period n.  `_repeat` decides the period only of forward
+    iterates, of orbits with an exact 0 (an end two laps share) and on the
+    lap of a repeating word, which holds at most one n-cycle, once per
+    point it has there: the first root found that passes is kept.  Equal
+    orbits are one.  The 2^n words are held at once: n = 18 takes about
+    0.5 s and 30 MB, n = 20 about 1.7 s and 105 MB, so n is at most
+    MAX_PERIOD.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -206,10 +191,13 @@ def find_cycles_1d(params: Params, n: int) -> list:
     if n == 1:
         return sorted(set(fixed_point_cycles_1d(params)), key=lambda c: c.points)
     codes = rot = least = np.arange(1 << n)
+    repeats = np.zeros(codes.size, dtype=bool)     # the word is not primitive
     for _ in range(n - 1):
         rot = (rot >> 1) | ((rot & 1) << (n - 1))
         least = np.minimum(least, rot)
-    codes = codes[least == codes]           # the smallest of each rotation class
+        repeats |= rot == codes
+    keep = least == codes                   # the smallest of each rotation class
+    codes, repeats = codes[keep], repeats[keep]
     beta = np.full(codes.size, 0.5 + sqrt(0.25 - b))
     put_at_0 = np.zeros(codes.size, dtype=bool)
     for top, bottom in _pullback(np.stack([beta, -beta]), codes, b, n):
@@ -234,14 +222,20 @@ def find_cycles_1d(params: Params, n: int) -> list:
     cut = (G[:, pos] > 0.0) & (G[:, neg] < 0.0)
     x0 = np.concatenate([P[zero], _bisect(lambda x: _jet(x, b, n)[0] - x,
                                           P[:, pos][cut], P[:, neg][cut])])
-    words = np.concatenate([np.repeat(codes, 4)[zero.ravel()], np.repeat(codes, 3)[cut.ravel()]])
-    orbs = np.stack([x0, *list(_pullback(x0, words, b, n))[-2::-1]], axis=1)
+    lap = np.concatenate([np.nonzero(zero)[0], np.nonzero(cut)[0]])    # of each x0
+    orbs = np.stack([x0, *list(_pullback(x0, codes[lap], b, n))[-2::-1]], axis=1)
     attracting = np.abs(_jet(x0, b, n)[1]) < 1.0
     orbs[attracting] = np.stack(_orbit_1d(x0[attracting], b, n), axis=1)
-    orbs = orbs[_step_gaps(orbs, b)[1].all(axis=1) & (_repeat(orbs) == 0)]
-    keys = np.sort(orbs, axis=1).tolist()
-    distinct = sorted(_first_distinct(keys), key=lambda i: keys[i][0])
-    return [cycle1d_from_orbit(b, _rotate_min_first(orbs[i].tolist())) for i in distinct]
+    ok = _step_gaps(orbs, b)[1].all(axis=1)
+    # a primitive word's lap holds roots of period n: their points lie on
+    # the n disjoint laps of its rotations
+    check = ok & (repeats[lap] | attracting | (orbs == 0.0).any(axis=1))
+    ok[check] = _repeat(orbs[check]) == 0
+    twice = np.flatnonzero(ok & repeats[lap])   # one n-cycle, once per point
+    ok[twice] = False
+    ok[twice[np.unique(lap[twice], return_index=True)[1]]] = True
+    orbits = dict.fromkeys(_rotate_min_first(orb) for orb in orbs[ok].tolist())
+    return [cycle1d_from_orbit(b, orb) for orb in sorted(orbits)]
 
 
 # ---------------------------------------------------------------------------
